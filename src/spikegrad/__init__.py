@@ -16,6 +16,7 @@ from .neuron import (
     SpikeRaster,
     beta_from_tau,
     lif_forward,
+    lif_scan,
     lif_step,
 )
 from .surrogate import DEFAULT_SURROGATE, SurrogateKind, SurrogateVariant, spike_forward, surrogate_grad

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .neuron import LifParams, ResetMode, SpikeRaster, _as_matrix
+from .neuron import LifParams, ResetMode, SpikeRaster, _as_matrix, lif_scan
 from .objectives import ObjectiveSpec, RegularizerSpec, eval_objective, predict_class, regularize
-from .surrogate import DEFAULT_SURROGATE, SurrogateKind, sigmoid
+from .surrogate import DEFAULT_SURROGATE, SurrogateKind
 
 __all__ = [
     "Feedback",
@@ -158,13 +157,13 @@ class OutputGrads:
 def forward(model: list[SnnLayer], inputs, relaxed_slope: float | None = None) -> ForwardRecord:
     """Roll the layer stack over a spike raster (or real current matrix).
 
-    Within a step, layer l's input is layer l-1's spike output of the same
-    step.  With ``relaxed_slope`` set, the hard threshold is replaced by
+    Layer l's input at step t is layer l-1's spike output of the same step,
+    so each layer is scanned over all steps before the next one starts.
+    With ``relaxed_slope`` set, the hard threshold is replaced by
     sigmoid(slope * (u - theta)) and the recorded spikes are continuous;
     this test-only mode requires adaptation to be off.
     """
     x0 = _as_matrix(inputs)
-    t_steps = x0.shape[0]
     n_prev = x0.shape[1]
     for l, layer in enumerate(model):
         if layer.n_in != n_prev:
@@ -175,50 +174,14 @@ def forward(model: list[SnnLayer], inputs, relaxed_slope: float | None = None) -
             raise ValueError("relaxed mode does not model threshold adaptation")
         n_prev = layer.n_out
 
-    traces = [
-        _LayerTrace(
-            u=np.zeros((t_steps, layer.n_out)),
-            s=np.zeros((t_steps, layer.n_out)),
-            x=np.zeros((t_steps, layer.n_in)),
-            theta=np.zeros((t_steps, layer.n_out)),
-        )
-        for layer in model
-    ]
-    u = [np.zeros(layer.n_out) for layer in model]
-    b = [np.zeros(layer.n_out) for layer in model]
-    s_prev = [np.zeros(layer.n_out) for layer in model]
-
-    for t in range(t_steps):
-        x = x0[t]
-        for l, layer in enumerate(model):
-            lif = layer.lif
-            current = layer.w @ x
-            if layer.v is not None:
-                current += layer.v @ s_prev[l]
-            theta_eff = lif.theta0 + b[l]
-
-            if lif.reset_mode is ResetMode.SUBTRACT:
-                u_new = lif.beta * u[l] + current - s_prev[l] * theta_eff
-            elif lif.reset_mode is ResetMode.ZERO:
-                u_new = (lif.beta * u[l] + current) * (1.0 - s_prev[l])
-            else:
-                u_new = lif.beta * u[l] + current
-
-            if relaxed_slope is None:
-                s_new = (u_new > theta_eff).astype(np.float64)
-            else:
-                s_new = sigmoid(relaxed_slope * (u_new - theta_eff))
-
-            if lif.adapt_alpha > 0.0:
-                b[l] = lif.adapt_alpha * b[l] + (1.0 - lif.adapt_alpha) * s_new
-
-            traces[l].u[t] = u_new
-            traces[l].s[t] = s_new
-            traces[l].x[t] = x
-            traces[l].theta[t] = theta_eff
-            u[l] = u_new
-            s_prev[l] = s_new
-            x = s_new
+    traces = []
+    x = x0.copy()
+    for layer in model:
+        # stacked matvec: bit-identical to layer.w @ x[t] at every step
+        wx = np.matmul(layer.w, x[:, :, None])[:, :, 0]
+        u, s, theta = lif_scan(layer.lif, wx, layer.v, relaxed_slope)
+        traces.append(_LayerTrace(u=u, s=s, x=x, theta=theta))
+        x = s
 
     return ForwardRecord(layers=list(model), traces=traces, relaxed_slope=relaxed_slope)
 
@@ -307,9 +270,7 @@ def backward(
         d_v = np.zeros_like(layer.v) if layer.v is not None else None
         d_beta = 0.0 if lif.learn_beta else None
         d_w_steps = np.zeros((t_steps,) + layer.w.shape) if per_step else None
-        d_x = np.zeros_like(tr.x)
-
-        back_mat = layer.w.T if feedback is Feedback.SYMMETRIC else layer.feedback_b
+        lam_i_all = np.empty_like(tr.s)
 
         lam_u_next = np.zeros(layer.n_out)
         lam_i_next = np.zeros(layer.n_out)
@@ -349,13 +310,16 @@ def backward(
             if d_beta is not None and t > 0:
                 carrier = lam_i if zero_mode else lam_u
                 d_beta += float(carrier @ tr.u[t - 1])
-            d_x[t] = back_mat @ lam_i
+            lam_i_all[t] = lam_i
 
             lam_u_next = lam_u
             lam_i_next = lam_i
 
         results[l] = LayerGrads(d_w=d_w, d_v=d_v, d_beta=d_beta, d_w_steps=d_w_steps)
-        downstream = d_x
+        if l > 0:
+            back_mat = layer.w.T if feedback is Feedback.SYMMETRIC else layer.feedback_b
+            # stacked matvec: bit-identical to back_mat @ lam_i[t] at every step
+            downstream = np.matmul(back_mat, lam_i_all[:, :, None])[:, :, 0]
 
     return results  # type: ignore[return-value]
 
@@ -527,9 +491,9 @@ def train_bptt(
     """Mini-batch surrogate-gradient training of the layer stack in place.
 
     Deterministic for a given seed: sample order, and therefore every
-    update, is reproduced exactly.  Batch gradients are averaged; the
-    reduction runs in a fixed sample order so results do not depend on
-    ``threads``.
+    update, is reproduced exactly, byte for byte.  Batch gradients are
+    averaged, reduced in sample order.  ``threads`` is accepted for
+    compatibility and ignored: training always runs in the calling thread.
     """
     samples = dataset.samples if hasattr(dataset, "samples") else list(dataset)
     if len(samples) == 0:
@@ -539,48 +503,41 @@ def train_bptt(
     rng = np.random.default_rng(seed)
 
     history = TrainHistory()
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for epoch in range(epochs):
-            order = rng.permutation(len(samples))
-            epoch_loss = 0.0
-            correct = 0
-            total_spikes = 0.0
-            for start in range(0, len(order), batch_size):
-                batch = [samples[i] for i in order[start : start + batch_size]]
-                run = lambda s: _sample_pass(
-                    model, s, objective, reg, surrogate, feedback, detach_reset
+    for epoch in range(epochs):
+        order = rng.permutation(len(samples))
+        epoch_loss = 0.0
+        correct = 0
+        total_spikes = 0.0
+        for start in range(0, len(order), batch_size):
+            batch = [samples[i] for i in order[start : start + batch_size]]
+            acc_grads = None
+            for sample in batch:
+                loss, grads, pred, spikes = _sample_pass(
+                    model, sample, objective, reg, surrogate, feedback, detach_reset
                 )
-                passes = list(pool.map(run, batch)) if pool else [run(s) for s in batch]
+                epoch_loss += loss
+                total_spikes += spikes
+                if acc_grads is None:
+                    acc_grads = _collect_grads(model, grads)
+                else:
+                    for a, g in zip(acc_grads, _collect_grads(model, grads)):
+                        a += g
+                target = sample[1]
+                if isinstance(target, (int, np.integer)) and pred == int(target):
+                    correct += 1
+            scale = 1.0 / len(batch)
+            acc_grads = [g * scale for g in acc_grads]
+            new_params = optimizer_step(_collect_params(model), acc_grads, optimizer)
+            _assign_params(model, new_params)
 
-                acc_grads = None
-                for loss, grads, pred, spikes in passes:
-                    epoch_loss += loss
-                    total_spikes += spikes
-                    if acc_grads is None:
-                        acc_grads = _collect_grads(model, grads)
-                    else:
-                        for a, g in zip(acc_grads, _collect_grads(model, grads)):
-                            a += g
-                for (x, target), (_, _, pred, _) in zip(batch, passes):
-                    if isinstance(target, (int, np.integer)) and pred == int(target):
-                        correct += 1
-                scale = 1.0 / len(batch)
-                acc_grads = [g * scale for g in acc_grads]
-                new_params = optimizer_step(_collect_params(model), acc_grads, optimizer)
-                _assign_params(model, new_params)
-
-            history.rows.append(
-                EpochStats(
-                    epoch=epoch,
-                    loss=epoch_loss / len(samples),
-                    accuracy=correct / len(samples),
-                    total_spikes=total_spikes,
-                )
+        history.rows.append(
+            EpochStats(
+                epoch=epoch,
+                loss=epoch_loss / len(samples),
+                accuracy=correct / len(samples),
+                total_spikes=total_spikes,
             )
-    finally:
-        if pool:
-            pool.shutdown()
+        )
     return history
 
 

@@ -4,13 +4,14 @@ Subcommands:
 
   train      --config <path> [--threads N]   run the configured trainer;
              writes history.csv, checkpoint.txt and the resolved config
+             (--threads N is accepted for compatibility and ignored)
   eval       --checkpoint <path> --config <path>   accuracy + spike stats
   encode     --scheme rate|latency|delta --in <csv> --out <events> [...]
   gradcheck  --suite relaxed-fd|rtrl-vs-bptt|spikeprop-fd|beta-power [--seed N]
   stdp-demo  --config <path>   write the pairing-rule weight-change curve
 
 All CSV output uses '.' decimals and LF line endings.  Identical config and
-seed reproduce identical output files byte for byte (single-threaded).
+seed reproduce identical output files byte for byte.
 """
 
 from __future__ import annotations
@@ -31,14 +32,14 @@ from .bptt import (
     train_bptt,
 )
 from .codec import ClampMode, DeltaParams, LatencyParams, Polarity, delta_encode, latency_encode, rate_encode
-from .config import ConfigError, RunConfig, load_run_config, parse_config_file
+from .config import ConfigError, RunConfig, _Keys, _stdp_params, load_run_config, parse_config_file
 from .events import save_events
 from .gradcheck import SUITES
 from .neuron import SpikeRaster
 from .objectives import ObjectiveKind, ObjectiveSpec, predict_class
 from .online import train_online
-from .plasticity import StdpParams, Pairing, perturbation_train, stdp_update
-from .spikeprop import SrmNet, find_spike_time, train_spikeprop
+from .plasticity import perturbation_train, stdp_update
+from .spikeprop import DeadNeuronError, SrmNet, find_spike_time, train_spikeprop
 from .tasks import Dataset
 
 
@@ -200,8 +201,6 @@ def _train_perturbation(cfg: RunConfig, model):
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
-    if args.threads is not None:
-        cfg.threads = args.threads
     os.makedirs(cfg.out_dir, exist_ok=True)
 
     if cfg.trainer_kind == "spikeprop":
@@ -223,7 +222,6 @@ def cmd_train(args) -> int:
                 seed=cfg.seed,
                 batch_size=cfg.batch_size,
                 detach_reset=cfg.detach_reset,
-                threads=cfg.threads,
             )
         elif cfg.trainer_kind == "online":
             history = _train_online_dataset(cfg, model)
@@ -327,28 +325,10 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_stdp_demo(args) -> int:
-    raw = parse_config_file(args.config)
-    known = {
-        "stdp.a_plus", "stdp.a_minus", "stdp.tau_plus", "stdp.tau_minus",
-        "stdp.w_min", "stdp.w_max", "stdp.pairing", "stdp.window", "train.out_dir",
-    }
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ConfigError(f"unknown config key '{unknown[0]}'")
-    pairing = raw.get("stdp.pairing", "all_pairs")
-    if pairing not in (p.value for p in Pairing):
-        raise ConfigError(f"config key 'stdp.pairing': unknown value {pairing!r}")
-    params = StdpParams(
-        a_plus=float(raw.get("stdp.a_plus", 0.01)),
-        a_minus=float(raw.get("stdp.a_minus", -0.012)),
-        tau_plus=float(raw.get("stdp.tau_plus", 20.0)),
-        tau_minus=float(raw.get("stdp.tau_minus", 20.0)),
-        w_min=float(raw.get("stdp.w_min", -1.0)),
-        w_max=float(raw.get("stdp.w_max", 1.0)),
-        pairing=Pairing(pairing),
-        window=float(raw.get("stdp.window", 100.0)),
-    )
-    out_dir = raw.get("train.out_dir", ".")
+    keys = _Keys(parse_config_file(args.config))
+    params = _stdp_params(keys)
+    out_dir = keys.str("train.out_dir", ".")
+    keys.reject_unknown()
     os.makedirs(out_dir, exist_ok=True)
     out_path = os.path.join(out_dir, "stdp_curve.csv")
 
@@ -374,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="run the configured trainer")
     p_train.add_argument("--config", required=True)
-    p_train.add_argument("--threads", type=int, default=None)
+    p_train.add_argument("--threads", type=int, default=None, help="accepted and ignored")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on the configured task")
@@ -422,6 +402,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _eprint(str(exc))
         return 2
+    except DeadNeuronError as exc:
+        _eprint(str(exc))
+        return 1
 
 
 if __name__ == "__main__":

@@ -179,7 +179,6 @@ class RunConfig:
     perturb_sigma: float
     perturb_trials: int
     spikeprop: SpikePropCfg = SpikePropCfg()
-    threads: int = 1
 
     def build_model(self, rng: np.random.Generator) -> list[SnnLayer]:
         layers = []
@@ -240,6 +239,24 @@ def _per_layer(values, n_layers: int, key: str):
             f"config key '{key}': expected 1 or {n_layers} values, got {len(values)}"
         )
     return values
+
+
+def _stdp_params(keys: _Keys) -> StdpParams:
+    """The pairing-rule settings, shared by training runs and ``stdp-demo``."""
+    return StdpParams(
+        a_plus=keys.float("stdp.a_plus", 0.01),
+        a_minus=keys.float("stdp.a_minus", -0.012),
+        tau_plus=keys.float("stdp.tau_plus", 20.0),
+        tau_minus=keys.float("stdp.tau_minus", 20.0),
+        w_min=keys.float("stdp.w_min", -1.0),
+        w_max=keys.float("stdp.w_max", 1.0),
+        pairing=keys.choice(
+            "stdp.pairing",
+            {p.value: p for p in Pairing},
+            default=Pairing.ALL_PAIRS,
+        ),
+        window=keys.float("stdp.window", 100.0),
+    )
 
 
 def load_run_config(path) -> RunConfig:
@@ -368,21 +385,6 @@ def load_run_config(path) -> RunConfig:
         target_incorrect=keys.float("spikeprop.target_incorrect", 3.0 * sp_tau),
     )
 
-    stdp = StdpParams(
-        a_plus=keys.float("stdp.a_plus", 0.01),
-        a_minus=keys.float("stdp.a_minus", -0.012),
-        tau_plus=keys.float("stdp.tau_plus", 20.0),
-        tau_minus=keys.float("stdp.tau_minus", 20.0),
-        w_min=keys.float("stdp.w_min", -1.0),
-        w_max=keys.float("stdp.w_max", 1.0),
-        pairing=keys.choice(
-            "stdp.pairing",
-            {p.value: p for p in Pairing},
-            default=Pairing.ALL_PAIRS,
-        ),
-        window=keys.float("stdp.window", 100.0),
-    )
-
     cfg = RunConfig(
         raw=raw,
         trainer_kind=keys.str("trainer.kind", "bptt"),
@@ -405,7 +407,7 @@ def load_run_config(path) -> RunConfig:
         seed=keys.int("train.seed", 0),
         out_dir=keys.str("train.out_dir", "."),
         update_policy=policy,
-        stdp=stdp,
+        stdp=_stdp_params(keys),
         perturb_sigma=keys.float("trainer.sigma", 0.01),
         perturb_trials=keys.int("trainer.trials", 100),
         spikeprop=spikeprop,

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .surrogate import sigmoid
+
 __all__ = [
     "ResetMode",
     "LifParams",
@@ -32,6 +34,7 @@ __all__ = [
     "MembraneTrace",
     "beta_from_tau",
     "lif_step",
+    "lif_scan",
     "lif_forward",
 ]
 
@@ -175,6 +178,41 @@ def beta_from_tau(tau: float, dt: float = 1.0) -> float:
     return math.exp(-dt / tau)
 
 
+def _lif_update(
+    params: LifParams,
+    u: np.ndarray,
+    b: np.ndarray,
+    s_prev: np.ndarray,
+    wx: np.ndarray,
+    relaxed_slope: float | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The LIF update rule, the only definition of it in the package.
+
+    Returns the new membrane, adaptive offset and spikes, plus the effective
+    threshold the spikes were tested against.  With ``relaxed_slope`` set,
+    the hard threshold becomes sigmoid(slope * (u - theta)) and the spikes
+    are continuous (a test-only relaxation for the gradient checks).
+    """
+    theta_eff = params.theta0 + b
+    if params.reset_mode is ResetMode.SUBTRACT:
+        u_new = params.beta * u + wx - s_prev * theta_eff
+    elif params.reset_mode is ResetMode.ZERO:
+        u_new = (params.beta * u + wx) * (1.0 - s_prev)
+    else:
+        u_new = params.beta * u + wx
+
+    if relaxed_slope is None:
+        s_new = (u_new > theta_eff).astype(np.float64)
+    else:
+        s_new = sigmoid(relaxed_slope * (u_new - theta_eff))
+
+    if params.adapt_alpha > 0.0:
+        b_new = params.adapt_alpha * b + (1.0 - params.adapt_alpha) * s_new
+    else:
+        b_new = b
+    return u_new, b_new, s_new, theta_eff
+
+
 def lif_step(
     state: LifState, params: LifParams, weighted_input: np.ndarray
 ) -> tuple[LifState, np.ndarray]:
@@ -197,23 +235,44 @@ def lif_step(
         raise ValueError(
             f"weighted_input shape {wx.shape} does not match state of {state.u.shape[0]} neurons"
         )
+    u, b, s, _ = _lif_update(params, state.u, state.b, state.s_prev, wx)
+    return LifState(u=u, b=b, s_prev=s), s
 
-    theta_eff = params.theta0 + state.b
-    if params.reset_mode is ResetMode.SUBTRACT:
-        u_new = params.beta * state.u + wx - state.s_prev * theta_eff
-    elif params.reset_mode is ResetMode.ZERO:
-        u_new = (params.beta * state.u + wx) * (1.0 - state.s_prev)
-    else:
-        u_new = params.beta * state.u + wx
 
-    s_new = (u_new > theta_eff).astype(np.float64)
+def lif_scan(
+    params: LifParams,
+    wx: np.ndarray,
+    v: np.ndarray | None = None,
+    relaxed_slope: float | None = None,
+    state: LifState | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Roll the LIF update over a T x N matrix of weighted input currents.
 
-    if params.adapt_alpha > 0.0:
-        b_new = params.adapt_alpha * state.b + (1.0 - params.adapt_alpha) * s_new
-    else:
-        b_new = state.b
+    ``v`` is an optional N x N explicit-recurrence matrix: step t receives
+    v @ s[t-1] on top of wx[t].  ``state`` gives the initial conditions
+    (zeros by default).  Returns the T x N membrane (the value used in each
+    step's threshold test), spike and effective-threshold traces.
+    """
+    wx = np.asarray(wx, dtype=np.float64)
+    if wx.ndim != 2:
+        raise ValueError(f"expected a T x N matrix, got shape {wx.shape}")
+    t_steps, n = wx.shape
+    if state is None:
+        state = LifState.zeros(n)
+    elif state.u.shape != (n,):
+        raise ValueError(f"input of {n} neurons does not match state of shape {state.u.shape}")
 
-    return LifState(u=u_new, b=b_new, s_prev=s_new), s_new
+    u, b, s = state.u, state.b, state.s_prev
+    u_trace = np.empty((t_steps, n))
+    s_trace = np.empty((t_steps, n))
+    theta_trace = np.empty((t_steps, n))
+    for t in range(t_steps):
+        current = wx[t] if v is None else wx[t] + v @ s
+        u, b, s, theta = _lif_update(params, u, b, s, current, relaxed_slope)
+        u_trace[t] = u
+        s_trace[t] = s
+        theta_trace[t] = theta
+    return u_trace, s_trace, theta_trace
 
 
 def lif_forward(
@@ -221,25 +280,17 @@ def lif_forward(
     inputs,
     u0: np.ndarray | None = None,
 ) -> tuple[MembraneTrace, SpikeRaster]:
-    """Roll lif_step over a T x N matrix of weighted input currents.
+    """Roll the LIF update over a T x N matrix of weighted input currents.
 
     Records the membrane value used in each step's threshold comparison
     (i.e. after decay, input and reset) and the resulting spikes.
     """
     wx = _as_matrix(inputs)
-    t_steps, n = wx.shape
-    if u0 is None:
-        state = LifState.zeros(n)
-    else:
+    state = None
+    if u0 is not None:
         u0 = np.asarray(u0, dtype=np.float64)
         if not np.all(np.isfinite(u0)):
             raise ValueError("u0 must be finite")
-        state = LifState(u=u0.copy(), b=np.zeros(n), s_prev=np.zeros(n))
-
-    u_trace = np.empty((t_steps, n))
-    s_trace = np.empty((t_steps, n))
-    for t in range(t_steps):
-        state, spikes = lif_step(state, params, wx[t])
-        u_trace[t] = state.u
-        s_trace[t] = spikes
+        state = LifState(u=u0.copy(), b=np.zeros_like(u0), s_prev=np.zeros_like(u0))
+    u_trace, s_trace, _ = lif_scan(params, wx, state=state)
     return MembraneTrace(u_trace), SpikeRaster(s_trace)

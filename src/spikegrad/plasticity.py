@@ -174,15 +174,17 @@ def perturbation_train(
     best = _dataset_loss(model, samples, objective)
     history = PerturbationHistory()
     for trial in range(trials):
-        noises = [rng.normal(0.0, sigma, size=layer.w.shape) for layer in model]
-        for layer, noise in zip(model, noises):
-            layer.w = layer.w + noise
+        saved = [layer.w for layer in model]
+        for layer in model:
+            layer.w = layer.w + rng.normal(0.0, sigma, size=layer.w.shape)
         candidate = _dataset_loss(model, samples, objective)
         if candidate < best:
             best = candidate
             history.rows.append((trial, best, True))
         else:
-            for layer, noise in zip(model, noises):
-                layer.w = layer.w - noise
+            # restore the saved arrays: subtracting the noise again is not
+            # bit-exact, and the kept model must be the one that scored best
+            for layer, w in zip(model, saved):
+                layer.w = w
             history.rows.append((trial, best, False))
     return history

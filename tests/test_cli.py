@@ -113,6 +113,39 @@ spikeprop.target_incorrect = 2.5
         assert len((out / "history.csv").read_text().splitlines()) == 3
 
 
+    def test_dead_output_neuron_is_a_located_error(self, tmp_path, capsys, monkeypatch):
+        from spikegrad import cli
+        from spikegrad.spikeprop import DeadNeuronError
+
+        def silent(*args, **kwargs):
+            raise DeadNeuronError(1)
+
+        monkeypatch.setattr(cli, "train_spikeprop", silent)
+        text = """
+task.kind = latency
+task.n_inputs = 4
+task.t_steps = 20
+task.n_classes = 2
+task.samples_per_class = 2
+model.layers = 4,2
+trainer.kind = spikeprop
+objective.kind = mse_spike_time
+"""
+        cfg, _ = write_config(tmp_path, text)
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "output neuron 1 never fired" in err
+
+    def test_threads_flag_is_accepted_and_ignored(self, tmp_path):
+        cfg1, out1 = write_config(tmp_path, RATE_CONFIG, tmp_path / "o1", name="a.cfg")
+        cfg2, out2 = write_config(tmp_path, RATE_CONFIG, tmp_path / "o2", name="b.cfg")
+        assert main(["train", "--config", str(cfg1)]) == 0
+        assert main(["train", "--config", str(cfg2), "--threads", "2"]) == 0
+        for name in ("history.csv", "checkpoint.txt"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
 class TestEvalCommand:
     def test_eval_after_train(self, tmp_path, capsys):
         cfg, out = write_config(tmp_path, RATE_CONFIG)
@@ -200,6 +233,12 @@ class TestStdpDemoCommand:
         assert np.all(causal > 0) and np.all(anti < 0)
         at_zero = data[data[:, 0] == 0, 1]
         assert at_zero[0] == 0.0
+
+    def test_bad_number_names_its_key(self, tmp_path, capsys):
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text("stdp.a_plus = abc\n")
+        assert main(["stdp-demo", "--config", str(cfg)]) == 2
+        assert "stdp.a_plus" in capsys.readouterr().err
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "demo.cfg"

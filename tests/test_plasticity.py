@@ -151,6 +151,13 @@ class TestPerturbationTrain:
         assert loss_small < 5.0  # the small net actually made progress
         assert rate_large < 0.05
 
+    def test_rejected_trial_restores_weights_bit_exactly(self):
+        model, ds, obj = _teacher_problem(16, 12, seed=5)
+        w0 = model[0].w.copy()
+        hist = perturbation_train(model, ds, sigma=0.5, trials=1, objective=obj, seed=0)
+        assert hist.rows[0][2] is False  # the trial was rejected
+        assert np.array_equal(model[0].w, w0)
+
     def test_negative_sigma_rejected(self):
         model, ds, obj = _teacher_problem(3, 2, seed=4)
         with pytest.raises(ValueError):
