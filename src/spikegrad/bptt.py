@@ -449,6 +449,12 @@ def _assign_params(model: list[SnnLayer], params: list[np.ndarray]) -> None:
             layer.lif = dataclasses.replace(layer.lif, beta=beta)
 
 
+def _accuracy(preds, targets) -> float:
+    """Share of samples with an integer class label predicted right; nan if none has one."""
+    hits = [pred == int(t) for pred, t in zip(preds, targets) if isinstance(t, (int, np.integer))]
+    return sum(hits) / len(hits) if hits else float("nan")
+
+
 def _sample_pass(model, sample, objective, reg, surrogate, feedback, detach_reset):
     """Forward + loss + backward for one sample; returns everything the loop reduces."""
     x, target = sample
@@ -506,7 +512,7 @@ def train_bptt(
     for epoch in range(epochs):
         order = rng.permutation(len(samples))
         epoch_loss = 0.0
-        correct = 0
+        preds = []
         total_spikes = 0.0
         for start in range(0, len(order), batch_size):
             batch = [samples[i] for i in order[start : start + batch_size]]
@@ -522,9 +528,7 @@ def train_bptt(
                 else:
                     for a, g in zip(acc_grads, _collect_grads(model, grads)):
                         a += g
-                target = sample[1]
-                if isinstance(target, (int, np.integer)) and pred == int(target):
-                    correct += 1
+                preds.append(pred)
             scale = 1.0 / len(batch)
             acc_grads = [g * scale for g in acc_grads]
             new_params = optimizer_step(_collect_params(model), acc_grads, optimizer)
@@ -534,7 +538,7 @@ def train_bptt(
             EpochStats(
                 epoch=epoch,
                 loss=epoch_loss / len(samples),
-                accuracy=correct / len(samples),
+                accuracy=_accuracy(preds, (samples[i][1] for i in order)),
                 total_spikes=total_spikes,
             )
         )

@@ -24,6 +24,7 @@ import numpy as np
 
 from .bptt import (
     EpochStats,
+    _accuracy,
     Feedback,
     TrainHistory,
     forward,
@@ -50,8 +51,6 @@ def _eprint(msg: str) -> None:
 def _eval_model(model, dataset: Dataset, objective: ObjectiveSpec):
     """Forward every sample; returns (accuracy, per-sample rows, mean spikes)."""
     rows = []
-    correct = 0
-    labelled = 0
     total_spikes = 0.0
     for x, target in dataset.samples:
         record = forward(model, x)
@@ -59,12 +58,8 @@ def _eval_model(model, dataset: Dataset, objective: ObjectiveSpec):
         spikes = sum(float(tr.s.sum()) for tr in record.traces)
         total_spikes += spikes
         label = int(target) if isinstance(target, (int, np.integer)) else -1
-        if label >= 0:
-            labelled += 1
-            if pred == label:
-                correct += 1
         rows.append((label, pred, spikes))
-    accuracy = correct / labelled if labelled else float("nan")
+    accuracy = _accuracy((pred for _, pred, _ in rows), (t for _, t in dataset.samples))
     return accuracy, rows, total_spikes / len(dataset.samples)
 
 
@@ -100,13 +95,11 @@ def _train_spikeprop(cfg: RunConfig):
     for epoch, loss in sp_history.rows:
         history.rows.append(EpochStats(epoch=epoch, loss=loss, accuracy=float("nan"), total_spikes=float("nan")))
     # final-state accuracy by earliest output spike
-    correct = 0
-    for (presyn, _), (_, label) in zip(samples, cfg.dataset.samples):
+    preds = []
+    for presyn, _ in samples:
         times = [find_spike_time(net, presyn, j) for j in range(n_out)]
-        times = [t if t is not None else float("inf") for t in times]
-        if int(np.argmin(times)) == int(label):
-            correct += 1
-    acc = correct / len(samples)
+        preds.append(int(np.argmin([t if t is not None else float("inf") for t in times])))
+    acc = _accuracy(preds, (label for _, label in cfg.dataset.samples))
     last = history.rows[-1]
     history.rows[-1] = EpochStats(last.epoch, last.loss, acc, last.total_spikes)
     return history, None

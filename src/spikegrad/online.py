@@ -22,7 +22,6 @@ is independent of the stream length.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -75,27 +74,21 @@ def online_grad(cbar: np.ndarray, state: InfluenceState) -> np.ndarray:
     return cbar[:, None] * state.m
 
 
-class _PolicyKind(enum.Enum):
-    DEFERRED = "deferred"
-    PER_STEP = "per_step"
-
-
 @dataclass(frozen=True)
 class UpdatePolicy:
-    """When the accumulated gradient is handed to the optimizer."""
+    """Hand the accumulated gradient to the optimizer every ``interval`` steps."""
 
-    kind: _PolicyKind
-    interval: float = 1
+    interval: float = math.inf
 
     @classmethod
     def deferred(cls) -> "UpdatePolicy":
-        return cls(kind=_PolicyKind.DEFERRED)
+        return cls()
 
     @classmethod
     def per_step(cls, interval: float = 1) -> "UpdatePolicy":
         if not (interval >= 1):
             raise ValueError(f"interval must be >= 1, got {interval}")
-        return cls(kind=_PolicyKind.PER_STEP, interval=interval)
+        return cls(interval=interval)
 
 
 @dataclass
@@ -147,10 +140,11 @@ def train_online(
 ) -> OnlineHistory:
     """Train on a single stream of (input step, target step) pairs, in place.
 
-    DEFERRED accumulates the whole-stream gradient and applies one update
-    at the end; PER_STEP(k) updates every k steps with the gradient
-    gathered since the previous update (plus a final flush).  The stream
-    may be any iterable: nothing is read ahead and no trace is stored.
+    ``UpdatePolicy.deferred()`` accumulates the whole-stream gradient and
+    applies one update at the end; ``per_step(k)`` updates every k steps
+    with the gradient gathered since the previous update (plus a final
+    flush).  The stream may be any iterable: nothing is read ahead and no
+    trace is stored.
     """
     if update_policy is None:
         update_policy = UpdatePolicy.deferred()
@@ -160,9 +154,6 @@ def train_online(
     states = [LifState.zeros(layer.n_out) for layer in model]
     influences = [InfluenceState.zeros(layer.n_out, layer.n_in) for layer in model]
     history = OnlineHistory()
-
-    per_step = update_policy.kind is _PolicyKind.PER_STEP
-    interval = update_policy.interval if per_step else math.inf
 
     pending_loss = 0.0
     pending_steps = 0
@@ -221,7 +212,7 @@ def train_online(
                     surrogate, layer_u[l - 1], theta_h, layer_s[l - 1]
                 )
 
-        if per_step and n_steps % interval == 0:
+        if n_steps % update_policy.interval == 0:
             apply_update(n_steps)
 
     if n_steps == 0:

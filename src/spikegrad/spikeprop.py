@@ -167,9 +167,10 @@ def find_spike_time(net: SrmNet, presyn_spikes, j: int) -> float | None:
 
     for _ in range(BISECTION_DEPTH):
         mid = 0.5 * (lo + hi)
-        if abs(membrane(mid) - net.theta[j]) < BISECTION_RESIDUAL:
+        u_mid = membrane(mid)
+        if abs(u_mid - net.theta[j]) < BISECTION_RESIDUAL:
             return mid
-        if membrane(mid) > net.theta[j]:
+        if u_mid > net.theta[j]:
             hi = mid
         else:
             lo = mid

@@ -342,6 +342,18 @@ class TestTrainBptt:
         with pytest.raises(ValueError):
             train_bptt([], [], ObjectiveSpec(ObjectiveKind.CE_SPIKE_RATE))
 
+    def test_payload_targets_report_nan_accuracy(self):
+        # explicit membrane target traces carry no class label to score against
+        rng = np.random.default_rng(0)
+        model = small_model(rng, sizes=(3, 2))
+        ds = [((rng.random((8, 3)) < 0.5).astype(float), rng.normal(size=(8, 2))) for _ in range(4)]
+        hist = train_bptt(
+            model, ds, ObjectiveSpec(ObjectiveKind.MSE_MEMBRANE),
+            optimizer=OptimizerState.sgd(1e-3), epochs=2, seed=1, batch_size=2,
+        )
+        assert all(np.isnan(r.accuracy) for r in hist.rows)
+        assert all(np.isfinite(r.loss) for r in hist.rows)
+
 
 class TestCheckpoint:
     def test_round_trip_preserves_everything(self, tmp_path):
