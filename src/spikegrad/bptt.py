@@ -194,6 +194,23 @@ class LayerGrads:
     d_w_steps: np.ndarray | None = None  # per-step contributions, on request
 
 
+def _previous_step(trace: np.ndarray) -> np.ndarray:
+    """Row t holds trace[t-1]; row 0 is zero (the state before the first step)."""
+    return np.concatenate((np.zeros_like(trace[:1]), trace[:-1]))
+
+
+def _adjoint_order_sum(steps: np.ndarray) -> np.ndarray:
+    """Sum per-step terms over axis 0 from the last step down to the first.
+
+    ``np.add.accumulate`` adds one row at a time, so the bits equal those of
+    a running total started at 0.0 and updated once per backward step;
+    ``steps.sum(axis=0)`` may switch to pairwise summation and a matmul
+    reorders freely.  The final ``+ 0.0`` stands for that 0.0 start: it only
+    turns a sum of negative zeros into +0.0.
+    """
+    return np.add.accumulate(steps[::-1], axis=0)[-1] + 0.0
+
+
 def backward(
     record: ForwardRecord,
     output_grads: OutputGrads,
@@ -205,12 +222,17 @@ def backward(
 ) -> list[LayerGrads]:
     """Adjoint of the unrolled graph recorded by :func:`forward`.
 
-    Walks layers from the output back, and time from T-1 back, maintaining
-    the membrane adjoint  lam_U[t] = d_direct[t] + surrogate * lam_S[t]
-    + (dU[t+1]/dU[t]) * lam_U[t+1], where lam_S collects the direct spike
-    gradient, the next layer's spatial adjoint, the explicit-recurrence
-    pathway and (unless detached) the reset pathway.  Weight gradients
-    accumulate the weight-sharing sum dW = sum_t lam_I[t] x[t]^T.
+    Walks layers from the output back.  Per layer, the time loop runs only
+    the adjoint recurrence from T-1 back: the input-current adjoint lam_I
+    and the membrane adjoint
+    lam_U[t] = d_direct[t] + surrogate * lam_S[t] + (dU[t+1]/dU[t]) * lam_U[t+1],
+    where lam_S collects the direct spike gradient, the next layer's spatial
+    adjoint, the explicit-recurrence pathway and (unless detached) the reset
+    pathway.  The weight-sharing sums dW = sum_t lam_I[t] x[t]^T, dV and
+    d_beta are then formed from the finished lam_I trace and summed in
+    adjoint order (t = T-1 down to 0), bit for bit as a running total would.
+    That takes two T x N_out x N_in float64 temporaries per layer (64 KB at
+    T = 50, 10 -> 16), and two T x N_out x N_out more when ``v`` is set.
 
     ``extra_spike_grads`` lets callers inject additional per-layer spike
     gradients (the activity regularizers use this); entries may be a T x N
@@ -266,60 +288,50 @@ def backward(
                     f"d_membrane shape {d_membrane.shape} != trace shape {tr.u.shape}"
                 )
 
-        d_w = np.zeros_like(layer.w)
-        d_v = np.zeros_like(layer.v) if layer.v is not None else None
-        d_beta = 0.0 if lif.learn_beta else None
-        d_w_steps = np.zeros((t_steps,) + layer.w.shape) if per_step else None
-        lam_i_all = np.empty_like(tr.s)
+        s_before = _previous_step(tr.s)
+        # dU[t+1]/dU[t]: beta, gated by the zero reset after a spike at t
+        decay = lif.beta * (1.0 - tr.s) if zero_mode else np.full_like(tr.u, lif.beta)
+        # reset pathway: dU[t+1]/dS[t], one row per step t < T-1
+        reset_gain = None
+        if not detach_reset and lif.reset_mode is ResetMode.SUBTRACT:
+            reset_gain = -tr.theta[1:]
+        elif not detach_reset and zero_mode:
+            # pre-reset membrane of step t+1; the stacked matvecs are
+            # bit-identical to layer.w @ x[t+1] and layer.v @ s[t]
+            wx = np.matmul(layer.w, tr.x[1:, :, None])[:, :, 0]
+            vs = np.matmul(layer.v, tr.s[:-1, :, None])[:, :, 0] if layer.v is not None else 0.0
+            reset_gain = -(lif.beta * tr.u[:-1] + (wx + vs))
 
+        lam_i = np.empty_like(tr.s)
         lam_u_next = np.zeros(layer.n_out)
-        lam_i_next = np.zeros(layer.n_out)
         for t in range(t_steps - 1, -1, -1):
-            lam_s = lam_s_direct[t].copy()
+            lam_s = lam_s_direct[t]  # a row of this layer's own buffer
             if t < t_steps - 1:
                 if layer.v is not None:
-                    lam_s += layer.v.T @ lam_i_next
-                if not detach_reset:
-                    if lif.reset_mode is ResetMode.SUBTRACT:
-                        lam_s += -tr.theta[t + 1] * lam_u_next
-                    elif zero_mode:
-                        pre_reset = lif.beta * tr.u[t] + (
-                            layer.w @ tr.x[t + 1]
-                            + (layer.v @ tr.s[t] if layer.v is not None else 0.0)
-                        )
-                        lam_s += -pre_reset * lam_u_next
+                    lam_s += layer.v.T @ lam_i[t + 1]
+                if reset_gain is not None:
+                    lam_s += reset_gain[t] * lam_u_next
 
             sur = surrogate_grad(surrogate, tr.u[t], tr.theta[t], tr.s[t])
-            if zero_mode:
-                temporal = lif.beta * (1.0 - tr.s[t]) * lam_u_next
-            else:
-                temporal = lif.beta * lam_u_next
-            lam_u = sur * lam_s + temporal
+            lam_u = sur * lam_s + decay[t] * lam_u_next
             if d_membrane is not None:
                 lam_u = lam_u + d_membrane[t]
-
-            s_before = tr.s[t - 1] if t > 0 else np.zeros(layer.n_out)
-            lam_i = lam_u * (1.0 - s_before) if zero_mode else lam_u
-
-            contrib = np.outer(lam_i, tr.x[t])
-            d_w += contrib
-            if per_step:
-                d_w_steps[t] = contrib
-            if d_v is not None and t > 0:
-                d_v += np.outer(lam_i, tr.s[t - 1])
-            if d_beta is not None and t > 0:
-                carrier = lam_i if zero_mode else lam_u
-                d_beta += float(carrier @ tr.u[t - 1])
-            lam_i_all[t] = lam_i
-
+            lam_i[t] = lam_u * (1.0 - s_before[t]) if zero_mode else lam_u
             lam_u_next = lam_u
-            lam_i_next = lam_i
 
-        results[l] = LayerGrads(d_w=d_w, d_v=d_v, d_beta=d_beta, d_w_steps=d_w_steps)
+        d_w_steps = lam_i[:, :, None] * tr.x[:, None, :]
+        grads = LayerGrads(_adjoint_order_sum(d_w_steps), d_w_steps=d_w_steps if per_step else None)
+        if layer.v is not None:
+            grads.d_v = _adjoint_order_sum(lam_i[:, :, None] * s_before[:, None, :])
+        if lif.learn_beta:
+            # lam_I is also d_beta's carrier: without a zero reset it equals lam_U
+            dots = np.matmul(lam_i[:, None, :], _previous_step(tr.u)[:, :, None])[:, 0, 0]
+            grads.d_beta = float(_adjoint_order_sum(dots))
+        results[l] = grads
         if l > 0:
             back_mat = layer.w.T if feedback is Feedback.SYMMETRIC else layer.feedback_b
             # stacked matvec: bit-identical to back_mat @ lam_i[t] at every step
-            downstream = np.matmul(back_mat, lam_i_all[:, :, None])[:, :, 0]
+            downstream = np.matmul(back_mat, lam_i[:, :, None])[:, :, 0]
 
     return results  # type: ignore[return-value]
 
@@ -464,9 +476,8 @@ def _sample_pass(model, sample, objective, reg, surrogate, feedback, detach_rese
     )
     extra = None
     if reg is not None and reg.active:
-        penalty, reg_grads = regularize(record.layer_spike_counts(), reg)
+        penalty, extra = regularize(record.layer_spike_counts(), reg)
         loss += penalty
-        extra = [np.broadcast_to(g, tr.s.shape).copy() for g, tr in zip(reg_grads, record.traces)]
     grads = backward(
         record,
         OutputGrads(d_spikes=d_s, d_membrane=d_u),
@@ -478,6 +489,17 @@ def _sample_pass(model, sample, objective, reg, surrogate, feedback, detach_rese
     pred = predict_class(objective, record.output_spikes())
     spikes = sum(float(tr.s.sum()) for tr in record.traces)
     return loss, grads, pred, spikes
+
+
+def _non_finite(loss: float, layer_grads: list[LayerGrads]) -> str | None:
+    """Name the first NaN or inf among the loss and the parameter gradients, if any."""
+    if not np.isfinite(loss):
+        return f"loss {loss}"
+    for l, lg in enumerate(layer_grads):
+        for name, g in (("w", lg.d_w), ("v", lg.d_v), ("beta", lg.d_beta)):
+            if g is not None and not np.isfinite(g).all():
+                return f"gradient of layer {l} parameter {name}"
+    return None
 
 
 def train_bptt(
@@ -500,6 +522,8 @@ def train_bptt(
     update, is reproduced exactly, byte for byte.  Batch gradients are
     averaged, reduced in sample order.  ``threads`` is accepted for
     compatibility and ignored: training always runs in the calling thread.
+    A non-finite loss or gradient raises ValueError before the optimizer
+    step, naming the epoch, batch, sample, layer and parameter (0-based).
     """
     samples = dataset.samples if hasattr(dataset, "samples") else list(dataset)
     if len(samples) == 0:
@@ -517,10 +541,16 @@ def train_bptt(
         for start in range(0, len(order), batch_size):
             batch = [samples[i] for i in order[start : start + batch_size]]
             acc_grads = None
-            for sample in batch:
+            for pos, sample in enumerate(batch, start):
                 loss, grads, pred, spikes = _sample_pass(
                     model, sample, objective, reg, surrogate, feedback, detach_reset
                 )
+                bad = _non_finite(loss, grads)
+                if bad is not None:
+                    raise ValueError(
+                        f"non-finite {bad} at epoch {epoch}, batch {start // batch_size}, "
+                        f"sample {pos} of the epoch (dataset index {order[pos]})"
+                    )
                 epoch_loss += loss
                 total_spikes += spikes
                 if acc_grads is None:

@@ -139,6 +139,12 @@ def _softmax_ce(logits: np.ndarray, target_class: int) -> tuple[float, np.ndarra
     return float(loss), grad
 
 
+def _square_error(y: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Summed square error of x against the target y, and its gradient -2 (y - x) w.r.t. x."""
+    err = y - x
+    return float(np.sum(err * err)), -2.0 * err
+
+
 def ce_spike_rate(counts, target_class: int) -> tuple[float, np.ndarray]:
     """Cross-entropy over spike counts used directly as softmax logits."""
     c = np.asarray(counts, dtype=np.float64)
@@ -153,8 +159,7 @@ def mse_spike_rate(counts, target_counts) -> tuple[float, np.ndarray]:
     y = np.asarray(target_counts, dtype=np.float64)
     if c.shape != y.shape:
         raise ValueError(f"counts shape {c.shape} != targets shape {y.shape}")
-    err = y - c
-    return float(np.sum(err * err)), -2.0 * err
+    return _square_error(y, c)
 
 
 def max_membrane_ce(trace, target_class: int) -> tuple[float, np.ndarray]:
@@ -186,8 +191,7 @@ def mse_membrane(trace, target_trace) -> tuple[float, np.ndarray]:
     y = _as_matrix(target_trace)
     if u.shape != y.shape:
         raise ValueError(f"trace shape {u.shape} != target shape {y.shape}")
-    err = y - u
-    return float(np.sum(err * err)), -2.0 * err
+    return _square_error(y, u)
 
 
 def ce_spike_time(
@@ -228,9 +232,9 @@ def mse_spike_time(spike_times, target_times) -> tuple[float, list[np.ndarray]]:
             raise ValueError(
                 f"neuron {i}: {fi.shape[0]} spikes but {yi.shape[0]} targets"
             )
-        err = yi - fi
-        loss += float(np.sum(err * err))
-        grads.append(-2.0 * err)
+        loss_i, grad_i = _square_error(yi, fi)
+        loss += loss_i
+        grads.append(grad_i)
     return loss, grads
 
 
@@ -248,8 +252,7 @@ def mse_relative_spike_time(
     f = np.asarray(first_spike, dtype=np.float64)
     y = np.where(f < f0 + gamma, f0 + gamma, f)
     y[target_class] = f0
-    err = y - f
-    return float(np.sum(err * err)), -2.0 * err
+    return _square_error(y, f)
 
 
 def regularize(layer_activity, spec: RegularizerSpec):
@@ -376,8 +379,7 @@ def eval_objective(
         y = np.asarray(target, dtype=np.float64)
         if y.shape != f.shape:
             raise ValueError(f"spike-time target shape {y.shape} != {f.shape}")
-        err = y - f
-        loss, df = float(np.sum(err * err)), -2.0 * err
+        loss, df = _square_error(y, f)
     elif kind is ObjectiveKind.MSE_RELATIVE_SPIKE_TIME:
         loss, df = mse_relative_spike_time(f, int(target), spec.f0, spec.gamma)
     else:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .bptt import OptimizerState, SnnLayer, optimizer_step
 from .neuron import LifParams, LifState, lif_step
-from .objectives import ObjectiveKind, ObjectiveSpec
+from .objectives import ObjectiveKind, ObjectiveSpec, _square_error
 from .surrogate import DEFAULT_SURROGATE, SurrogateKind, surrogate_grad
 
 __all__ = [
@@ -117,12 +117,10 @@ def _step_credit(
     """
     y = np.asarray(target, dtype=np.float64)
     if objective.kind is ObjectiveKind.MSE_MEMBRANE:
-        err = y - u
-        return float(np.sum(err * err)), -2.0 * err
+        return _square_error(y, u)
     if objective.kind is ObjectiveKind.MSE_SPIKE_RATE:
-        err = y - s
-        d_s = -2.0 * err
-        return float(np.sum(err * err)), d_s * surrogate_grad(surrogate, u, theta, s)
+        loss, d_s = _square_error(y, s)
+        return loss, d_s * surrogate_grad(surrogate, u, theta, s)
     raise ValueError(
         f"objective {objective.kind.value} has no instantaneous per-step form; "
         "use mse_membrane (membrane target per step) or mse_spike_rate (spike target per step)"

@@ -354,6 +354,35 @@ class TestTrainBptt:
         assert all(np.isnan(r.accuracy) for r in hist.rows)
         assert all(np.isfinite(r.loss) for r in hist.rows)
 
+    def test_nan_input_raises_before_the_update(self):
+        # a NaN input never crosses threshold, so the loss stays finite and
+        # only the layer-0 weight gradient carries the NaN
+        rng = np.random.default_rng(0)
+        model = small_model(rng, sizes=(3, 2))
+        w_before = model[0].w.copy()
+        x_bad = (rng.random((8, 3)) < 0.5).astype(float)
+        x_bad[2, 1] = np.nan
+        ds = [((rng.random((8, 3)) < 0.5).astype(float), 0), (x_bad, 1)]
+        with pytest.raises(
+            ValueError,
+            match=r"non-finite gradient of layer 0 parameter w at epoch 0, batch 0, "
+            r"sample \d of the epoch \(dataset index 1\)",
+        ):
+            train_bptt(
+                model, ds, ObjectiveSpec(ObjectiveKind.CE_SPIKE_RATE),
+                optimizer=OptimizerState.sgd(1e-2), epochs=2, seed=0, batch_size=2,
+            )
+        assert np.array_equal(model[0].w, w_before)
+
+    def test_nan_loss_raises(self):
+        rng = np.random.default_rng(1)
+        model = small_model(rng, sizes=(3, 2))
+        x = (rng.random((8, 3)) < 0.5).astype(float)
+        target = np.zeros((8, 2))
+        target[5, 0] = np.nan
+        with pytest.raises(ValueError, match=r"non-finite loss nan at epoch 0, batch 0, sample 0"):
+            train_bptt(model, [(x, target)], ObjectiveSpec(ObjectiveKind.MSE_MEMBRANE))
+
 
 class TestCheckpoint:
     def test_round_trip_preserves_everything(self, tmp_path):

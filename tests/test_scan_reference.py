@@ -238,3 +238,44 @@ def test_layer_major_engine_matches_step_major_reference(reset, recurrent, feedb
             assert np.array_equal(g.d_v, ref.d_v)
         else:
             assert g.d_v is None and ref.d_v is None
+
+
+@pytest.mark.parametrize("t_steps", (1, 2))
+@pytest.mark.parametrize(
+    "reset,recurrent,feedback,variant",
+    CASES,
+    ids=[f"{r.value}-{'v' if rec else 'nov'}-{fb.value}-{var}" for r, rec, fb, var in CASES],
+)
+def test_engine_matches_reference_at_short_lengths(reset, recurrent, feedback, variant, t_steps):
+    # one and two steps exercise the edges of the adjoint recurrence: no
+    # step t+1 at all, and step 0 with no step before it
+    rng = np.random.default_rng([t_steps, CASES.index((reset, recurrent, feedback, variant))])
+    model = _case_model(rng, reset, recurrent, variant)
+    x = (rng.random((t_steps, 5)) < 0.5).astype(np.float64)
+    slope = 4.0 if variant == "relaxed" else None
+
+    record = forward(model, x, relaxed_slope=slope)
+    ref_record = _reference_forward(model, x, relaxed_slope=slope)
+    for tr, ref in zip(record.traces, ref_record.traces):
+        for name in ("u", "s", "x", "theta"):
+            assert np.array_equal(getattr(tr, name), getattr(ref, name)), name
+
+    surrogate = SurrogateKind.sigmoid_exact(slope) if slope else SurrogateKind.fast_sigmoid(5.0)
+    kwargs = dict(
+        surrogate=surrogate,
+        feedback=feedback,
+        detach_reset=variant != "attached",
+        extra_spike_grads=[rng.normal(size=(t_steps, 7)), None],
+        per_step=True,
+    )
+    out = OutputGrads(d_spikes=rng.normal(size=(t_steps, 3)), d_membrane=rng.normal(size=(t_steps, 3)))
+    grads = backward(record, out, **kwargs)
+    ref_grads = _reference_backward(ref_record, out, **kwargs)
+    for g, ref in zip(grads, ref_grads):
+        assert np.array_equal(g.d_w, ref.d_w)
+        assert np.array_equal(g.d_w_steps, ref.d_w_steps)
+        assert g.d_beta == ref.d_beta
+        if recurrent:
+            assert np.array_equal(g.d_v, ref.d_v)
+        else:
+            assert g.d_v is None and ref.d_v is None
