@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bptt import OptimizerState, SnnLayer, optimizer_step
+from .bptt import LayerGrads, OptimizerState, SnnLayer, _non_finite, optimizer_step
 from .neuron import LifParams, LifState, lif_step
 from .objectives import ObjectiveKind, ObjectiveSpec, _square_error
 from .surrogate import DEFAULT_SURROGATE, SurrogateKind, surrogate_grad
@@ -143,6 +143,10 @@ def train_online(
     with the gradient gathered since the previous update (plus a final
     flush).  The stream may be any iterable: nothing is read ahead and no
     trace is stored.
+
+    Before each update, a non-finite pending loss or gradient raises
+    ``ValueError`` naming the layer and the stream step of the update
+    (counted from 1, as in the history rows); the weights stay untouched.
     """
     if update_policy is None:
         update_policy = UpdatePolicy.deferred()
@@ -159,6 +163,9 @@ def train_online(
 
     def apply_update(step_idx: int) -> None:
         nonlocal pending_loss, pending_steps
+        bad = _non_finite(pending_loss, [LayerGrads(d_w=inf.grad_acc) for inf in influences])
+        if bad is not None:
+            raise ValueError(f"non-finite {bad} at the update after stream step {step_idx}")
         params = [layer.w for layer in model]
         grads = [inf.grad_acc for inf in influences]
         new_params = optimizer_step(params, grads, optimizer)

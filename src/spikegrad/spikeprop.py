@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .objectives import mse_spike_time
+from .objectives import _square_error
 
 __all__ = [
     "SrmNet",
@@ -110,18 +110,26 @@ def alpha_kernel_deriv(t, tau: float):
     return out if out.ndim else float(out)
 
 
-def _spike_arrays(presyn_spikes) -> list[np.ndarray]:
-    return [np.asarray(f, dtype=np.float64) for f in presyn_spikes]
+def _spike_arrays(presyn_spikes) -> np.ndarray:
+    """One row of spike times per input, padded with +inf to a common length.
+
+    An empty input is a row of padding. The kernel and its derivative are
+    exactly 0 at t - inf, so padding adds 0.0 to every sum.
+    """
+    rows = [np.asarray(f, dtype=np.float64).reshape(-1) for f in presyn_spikes]
+    spikes = np.full((len(rows), max(map(len, rows), default=0)), np.inf)
+    for i, f in enumerate(rows):
+        if not np.isfinite(f).all():
+            raise ValueError(f"input {i} has a non-finite spike time; give no spike as an empty list")
+        spikes[i, : f.size] = f
+    return spikes
 
 
-def _kernel_sums(presyn: list[np.ndarray], t, tau: float) -> np.ndarray:
+def _kernel_sums(spikes: np.ndarray, t, tau: float) -> np.ndarray:
     """Per-input summed kernel responses at time(s) t: K_i(t) = sum_k eps(t - f_ik)."""
     t = np.asarray(t, dtype=np.float64)
-    sums = np.zeros((len(presyn),) + t.shape)
-    for i, f in enumerate(presyn):
-        if f.size:
-            sums[i] = alpha_kernel(t[..., None] - f, tau).sum(axis=-1)
-    return sums
+    per_input = spikes.reshape((spikes.shape[0],) + (1,) * t.ndim + (spikes.shape[1],))
+    return alpha_kernel(t[..., None] - per_input, tau).sum(axis=-1)
 
 
 def srm_membrane(net: SrmNet, presyn_spikes, t) -> np.ndarray:
@@ -129,19 +137,15 @@ def srm_membrane(net: SrmNet, presyn_spikes, t) -> np.ndarray:
 
     presyn_spikes is one sequence of spike times per input neuron.
     """
-    presyn = _spike_arrays(presyn_spikes)
-    if len(presyn) != net.n_in:
-        raise ValueError(f"{len(presyn)} input spike lists but net has {net.n_in} inputs")
-    return net.w @ _kernel_sums(presyn, t, net.tau)
+    spikes = _spike_arrays(presyn_spikes)
+    if spikes.shape[0] != net.n_in:
+        raise ValueError(f"{spikes.shape[0]} input spike lists but net has {net.n_in} inputs")
+    return net.w @ _kernel_sums(spikes, t, net.tau)
 
 
-def _membrane_slope(net: SrmNet, presyn: list[np.ndarray], j: int, t: float) -> float:
-    """dU_j/dt at time t, from the closed-form kernel derivative."""
-    slope = 0.0
-    for i, f in enumerate(presyn):
-        if f.size:
-            slope += net.w[j, i] * float(np.sum(alpha_kernel_deriv(t - f, net.tau)))
-    return slope
+def _membrane_slope(net: SrmNet, spikes: np.ndarray, j: int, t: float) -> float:
+    """dU_j/dt at time t, from the closed-form kernel derivative, summed input by input."""
+    return float(sum(net.w[j] * alpha_kernel_deriv(t - spikes, net.tau).sum(axis=-1)))
 
 
 def find_spike_time(net: SrmNet, presyn_spikes, j: int) -> float | None:
@@ -151,9 +155,9 @@ def find_spike_time(net: SrmNet, presyn_spikes, j: int) -> float | None:
     the bracketing interval until |U(f) - theta| < 1e-10 (typically much
     tighter; the depth cap alone narrows the bracket below 1e-15 tau).
     """
-    presyn = _spike_arrays(presyn_spikes)
+    spikes = _spike_arrays(presyn_spikes)
     grid = np.arange(0.0, net.t_end + net.dt_fine, net.dt_fine)
-    u = net.w[j] @ _kernel_sums(presyn, grid, net.tau)
+    u = net.w[j] @ _kernel_sums(spikes, grid, net.tau)
     above = np.nonzero(u > net.theta[j])[0]
     if above.size == 0:
         return None
@@ -163,7 +167,7 @@ def find_spike_time(net: SrmNet, presyn_spikes, j: int) -> float | None:
     lo, hi = float(grid[hi_idx - 1]), float(grid[hi_idx])
 
     def membrane(t: float) -> float:
-        return float(net.w[j] @ _kernel_sums(presyn, np.float64(t), net.tau))
+        return float(net.w[j] @ _kernel_sums(spikes, np.float64(t), net.tau))
 
     for _ in range(BISECTION_DEPTH):
         mid = 0.5 * (lo + hi)
@@ -184,13 +188,13 @@ def spike_time_weight_grad(net: SrmNet, presyn_spikes, j: int, f_j: float | None
     the crossing earlier by that amount over the membrane slope:
     df/dW = -sum_k eps(f_j - f_ik) / (dU_j/dt at f_j).
     """
-    presyn = _spike_arrays(presyn_spikes)
+    spikes = _spike_arrays(presyn_spikes)
     if f_j is None:
         f_j = find_spike_time(net, presyn_spikes, j)
     if f_j is None:
         raise DeadNeuronError(j)
-    responses = _kernel_sums(presyn, np.float64(f_j), net.tau)
-    slope = _membrane_slope(net, presyn, j, f_j)
+    responses = _kernel_sums(spikes, np.float64(f_j), net.tau)
+    slope = _membrane_slope(net, spikes, j, f_j)
     return -responses / slope
 
 
@@ -205,13 +209,13 @@ def spikeprop_grad(net: SrmNet, presyn_spikes, targets) -> np.ndarray:
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != (net.n_out,):
         raise ValueError(f"need {net.n_out} target times, got shape {targets.shape}")
+    first = [find_spike_time(net, presyn_spikes, j) for j in range(net.n_out)]
+    if None in first:
+        raise DeadNeuronError(first.index(None))
+    _, dl_df = _square_error(targets, np.array(first))
     grad = np.zeros_like(net.w)
-    for j in range(net.n_out):
-        f_j = find_spike_time(net, presyn_spikes, j)
-        if f_j is None:
-            raise DeadNeuronError(j)
-        dl_df = -2.0 * (targets[j] - f_j)
-        grad[j] = dl_df * spike_time_weight_grad(net, presyn_spikes, j, f_j)
+    for j, f_j in enumerate(first):
+        grad[j] = dl_df[j] * spike_time_weight_grad(net, presyn_spikes, j, f_j)
     return grad
 
 
@@ -237,7 +241,9 @@ def train_spikeprop(
 
     Whenever an output neuron stays silent for some sample, its threshold
     is lowered by ``dead_neuron_factor`` and the sample retried, counting
-    and logging each intervention.
+    and logging each intervention.  ``max_threshold_drops`` caps the drops
+    over the whole run: the next silent output raises ``DeadNeuronError``
+    before any update from that sample.
     """
     samples = dataset.samples if hasattr(dataset, "samples") else list(dataset)
     if len(samples) == 0:
@@ -246,7 +252,7 @@ def train_spikeprop(
     for epoch in range(epochs):
         epoch_loss = 0.0
         for presyn, targets in samples:
-            for _ in range(max_threshold_drops):
+            while True:
                 try:
                     grad = spikeprop_grad(net, presyn, targets)
                     break
@@ -261,14 +267,7 @@ def train_spikeprop(
                         net.theta[dead.neuron],
                     )
             net.w = net.w - lr * grad
-            first = [
-                [find_spike_time(net, presyn, j)] for j in range(net.n_out)
-            ]
-            target_lists = [[float(t)] for t in np.asarray(targets, dtype=np.float64)]
-            if any(f[0] is None for f in first):
-                epoch_loss += float("inf")
-            else:
-                loss, _ = mse_spike_time(first, target_lists)
-                epoch_loss += loss
+            first = [find_spike_time(net, presyn, j) for j in range(net.n_out)]
+            epoch_loss += float("inf") if None in first else _square_error(targets, np.array(first))[0]
         history.rows.append((epoch, epoch_loss / len(samples)))
     return history

@@ -166,3 +166,28 @@ class TestTrainOnline:
         train_online(model, zip(x, y), ObjectiveSpec(ObjectiveKind.MSE_SPIKE_RATE),
                      optimizer=OptimizerState.sgd(1e-2))
         assert not np.array_equal(model[0].w, w_hidden)
+
+    def test_non_finite_gradient_raises_before_the_update(self):
+        lif, w0, x, _ = _sequence_problem(seed=10, t_steps=20)
+        x[3, 1] = np.nan
+        y_spikes = np.zeros((20, w0.shape[0]))
+        layer = SnnLayer(w=w0.copy(), lif=lif)
+        with pytest.raises(ValueError, match="non-finite gradient of layer 0 parameter w "
+                                             "at the update after stream step 10"):
+            train_online([layer], zip(x, y_spikes), ObjectiveSpec(ObjectiveKind.MSE_SPIKE_RATE),
+                         update_policy=UpdatePolicy.per_step(10),
+                         optimizer=OptimizerState.sgd(1e-3))
+        assert np.array_equal(layer.w, w0)
+
+    def test_non_finite_loss_raises_before_the_update(self):
+        lif, w0, x, y = _sequence_problem(seed=11, t_steps=20)
+        y[12, 0] = np.inf
+        obj = ObjectiveSpec(ObjectiveKind.MSE_MEMBRANE)
+        clean_half = SnnLayer(w=w0.copy(), lif=lif)
+        train_online([clean_half], zip(x[:10], y[:10]), obj,
+                     update_policy=UpdatePolicy.per_step(10), optimizer=OptimizerState.sgd(1e-3))
+        layer = SnnLayer(w=w0.copy(), lif=lif)
+        with pytest.raises(ValueError, match="non-finite loss inf at the update after stream step 20"):
+            train_online([layer], zip(x, y), obj,
+                         update_policy=UpdatePolicy.per_step(10), optimizer=OptimizerState.sgd(1e-3))
+        assert np.array_equal(layer.w, clean_half.w)

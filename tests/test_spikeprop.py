@@ -58,6 +58,13 @@ class TestSrmMembrane:
         double = srm_membrane(net, [[1.0, 1.0]], 2.5)[0]
         assert double == pytest.approx(2.0 * single, rel=1e-12)
 
+    def test_non_finite_spike_time_rejected(self):
+        net = SrmNet(w=np.ones((1, 2)), tau=1.0, theta=1.0, t_end=5.0)
+        with pytest.raises(ValueError, match="input 0 has a non-finite spike time"):
+            srm_membrane(net, [[float("nan")], [0.3]], 1.0)
+        with pytest.raises(ValueError, match="input 1"):
+            find_spike_time(net, [[0.1], [0.2, float("-inf")]], 0)
+
     def test_vectorised_times(self):
         net = SrmNet(w=np.array([[0.5, 1.5]]), tau=1.0, theta=10.0, t_end=6.0)
         presyn = [[0.3], [0.1, 1.2]]
@@ -196,6 +203,36 @@ class TestTrainSpikeProp:
         net, _ = self._toy()
         with pytest.raises(ValueError):
             train_spikeprop(net, [], lr=0.1, epochs=1)
+
+    def _silent_sample(self):
+        # no input spikes: no threshold above zero is ever crossed
+        return [[], []], np.array([1.0])
+
+    def test_silent_first_sample_raises_after_the_drop_budget(self):
+        net, _ = self._toy()
+        w0 = net.w.copy()
+        with pytest.raises(DeadNeuronError, match="neuron 0"):
+            train_spikeprop(net, [self._silent_sample()], lr=0.01, epochs=1)
+        theta = 1.0
+        for _ in range(200):
+            theta *= 0.9
+        assert net.theta[0] == theta
+        assert np.array_equal(net.w, w0)
+
+    def test_silent_sample_after_a_good_one_raises_and_leaves_weights(self):
+        net, ds = self._toy()
+        after_good = SrmNet(w=net.w.copy(), tau=net.tau, theta=net.theta.copy(), t_end=net.t_end)
+        train_spikeprop(after_good, ds, lr=0.01, epochs=1)
+        with pytest.raises(DeadNeuronError, match="neuron 0"):
+            train_spikeprop(net, ds + [self._silent_sample()], lr=0.01, epochs=1, max_threshold_drops=5)
+        assert np.array_equal(net.w, after_good.w)
+
+    def test_non_finite_input_spike_rejected(self):
+        net, ds = self._toy()
+        presyn, target = ds[0]
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="input 1 has a non-finite spike time"):
+                train_spikeprop(net, [([presyn[0], [bad]], target)], lr=0.01, epochs=1)
 
 
 class TestSrmNetValidation:
