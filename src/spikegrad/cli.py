@@ -40,7 +40,7 @@ from .neuron import SpikeRaster
 from .objectives import ObjectiveKind, ObjectiveSpec, predict_class
 from .online import train_online
 from .plasticity import perturbation_train, stdp_update
-from .spikeprop import DeadNeuronError, SrmNet, find_spike_time, train_spikeprop
+from .spikeprop import DeadNeuronError, SrmNet, _first_spikes, _spike_arrays, train_spikeprop
 from .tasks import Dataset
 
 
@@ -97,7 +97,7 @@ def _train_spikeprop(cfg: RunConfig):
     # final-state accuracy by earliest output spike
     preds = []
     for presyn, _ in samples:
-        times = [find_spike_time(net, presyn, j) for j in range(n_out)]
+        times = _first_spikes(net, _spike_arrays(presyn), range(n_out))
         preds.append(int(np.argmin([t if t is not None else float("inf") for t in times])))
     acc = _accuracy(preds, (label for _, label in cfg.dataset.samples))
     last = history.rows[-1]

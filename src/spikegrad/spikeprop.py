@@ -6,9 +6,12 @@ per presynaptic spike:
     U_j(t) = sum_{i,k} W_ji * eps(t - f_i^(k)),   eps(t) = (t/tau) e^(1 - t/tau)
 
 The first threshold crossing of U_j is located on a fine grid and refined
-by bisection.  Learning differentiates the *time* of that crossing rather
-than the spike itself: a weight change moves the membrane, which moves the
-crossing by df/dU = -1 / (dU/dt at the crossing).  Every quantity is
+by bisection.  The per-input kernel sums on that grid depend only on the
+input spikes, so one grid per sample serves every output, before and after
+a weight update, and the outputs of a sample are bisected together.
+Learning differentiates the *time* of that crossing rather than the spike
+itself: a weight change moves the membrane, which moves the crossing by
+df/dU = -1 / (dU/dt at the crossing).  Every quantity is
 available in closed form from the kernel, and the whole chain is verified
 against finite differences of the located spike time.
 
@@ -20,6 +23,7 @@ the initialisation scale).
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 
@@ -74,6 +78,10 @@ class SrmNet:
         self.w = np.asarray(self.w, dtype=np.float64)
         if self.w.ndim != 2:
             raise ValueError(f"w must be N_out x N_in, got shape {self.w.shape}")
+        bad_w = np.argwhere(~np.isfinite(self.w))
+        if bad_w.size:
+            j, i = bad_w[0]
+            raise ValueError(f"w[{j}, {i}] is {self.w[j, i]}; weights must be finite")
         if not self.tau > 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         theta = np.asarray(self.theta, dtype=np.float64)
@@ -81,6 +89,10 @@ class SrmNet:
             theta = np.full(self.w.shape[0], float(theta))
         if theta.shape != (self.w.shape[0],):
             raise ValueError(f"theta must be scalar or length {self.w.shape[0]}")
+        bad_theta = np.flatnonzero(~(np.isfinite(theta) & (theta > 0.0)))
+        if bad_theta.size:
+            j = bad_theta[0]
+            raise ValueError(f"theta of output neuron {j} is {theta[j]}; it must be finite and positive")
         self.theta = theta
         if self.dt_fine is None:
             self.dt_fine = self.tau / 1000.0
@@ -148,37 +160,81 @@ def _membrane_slope(net: SrmNet, spikes: np.ndarray, j: int, t: float) -> float:
     return float(sum(net.w[j] * alpha_kernel_deriv(t - spikes, net.tau).sum(axis=-1)))
 
 
+@functools.lru_cache(maxsize=1)
+def _cached_grid_sums(shape, data: bytes, tau: float, t_end: float, dt_fine: float):
+    spikes = np.frombuffer(data, dtype=np.float64).reshape(shape)
+    grid = np.arange(0.0, t_end + dt_fine, dt_fine)
+    sums = _kernel_sums(spikes, grid, tau)
+    grid.flags.writeable = False
+    sums.flags.writeable = False
+    return grid, sums
+
+
+def _grid_sums(net: SrmNet, spikes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The fine grid and the N_in x G kernel sums K_i(t) on it, both read-only.
+
+    K depends on the spikes and the kernel, not on w or theta, so one entry
+    keyed by content serves every output of a sample and the loss after its
+    weight update; the next sample replaces it.
+    """
+    return _cached_grid_sums(spikes.shape, spikes.tobytes(), net.tau, net.t_end, net.dt_fine)
+
+
+_grid_sums.cache_info = _cached_grid_sums.cache_info
+_grid_sums.cache_clear = _cached_grid_sums.cache_clear
+
+
+def _first_spikes(net: SrmNet, spikes: np.ndarray, outputs) -> list[float | None]:
+    """First threshold crossing of each listed output, None where it never fires.
+
+    Each output is bracketed on the shared grid by its own ``w[j] @ K`` (a
+    single product over all outputs would group the sums differently), then
+    all bracketed outputs are bisected together: one kernel-sum call per
+    step evaluates every output's midpoint, and each output stops on its own
+    residual or depth rule.
+    """
+    grid, sums = _grid_sums(net, spikes)
+    first: list[float | None] = [None] * len(outputs)
+    brackets = {}  # position in outputs -> [lo, hi]
+    for pos, j in enumerate(outputs):
+        above = np.nonzero(net.w[j] @ sums > net.theta[j])[0]
+        if above.size == 0:
+            continue
+        hi_idx = int(above[0])
+        if hi_idx == 0:
+            first[pos] = float(grid[0])
+        else:
+            brackets[pos] = [float(grid[hi_idx - 1]), float(grid[hi_idx])]
+
+    for _ in range(BISECTION_DEPTH):
+        if not brackets:
+            break
+        mids = {pos: 0.5 * (lo + hi) for pos, (lo, hi) in brackets.items()}
+        # one contiguous N_in row per output, so each dot sums as a lone vector would
+        rows = _kernel_sums(spikes, np.array(list(mids.values())), net.tau).T.copy()
+        for (pos, mid), row in zip(mids.items(), rows):
+            j = outputs[pos]
+            u_mid = float(net.w[j] @ row)
+            if abs(u_mid - net.theta[j]) < BISECTION_RESIDUAL:
+                first[pos] = mid
+                del brackets[pos]
+            elif u_mid > net.theta[j]:
+                brackets[pos][1] = mid
+            else:
+                brackets[pos][0] = mid
+    for pos, (_, hi) in brackets.items():
+        first[pos] = hi
+    return first
+
+
 def find_spike_time(net: SrmNet, presyn_spikes, j: int) -> float | None:
     """First threshold crossing of output neuron j, or None if it never fires.
 
     Scans the fine grid for the first point above threshold, then bisects
-    the bracketing interval until |U(f) - theta| < 1e-10 (typically much
+    the bracketing interval until |U(f) - theta| < 1e-12 (typically much
     tighter; the depth cap alone narrows the bracket below 1e-15 tau).
     """
-    spikes = _spike_arrays(presyn_spikes)
-    grid = np.arange(0.0, net.t_end + net.dt_fine, net.dt_fine)
-    u = net.w[j] @ _kernel_sums(spikes, grid, net.tau)
-    above = np.nonzero(u > net.theta[j])[0]
-    if above.size == 0:
-        return None
-    hi_idx = int(above[0])
-    if hi_idx == 0:
-        return float(grid[0])
-    lo, hi = float(grid[hi_idx - 1]), float(grid[hi_idx])
-
-    def membrane(t: float) -> float:
-        return float(net.w[j] @ _kernel_sums(spikes, np.float64(t), net.tau))
-
-    for _ in range(BISECTION_DEPTH):
-        mid = 0.5 * (lo + hi)
-        u_mid = membrane(mid)
-        if abs(u_mid - net.theta[j]) < BISECTION_RESIDUAL:
-            return mid
-        if u_mid > net.theta[j]:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _first_spikes(net, _spike_arrays(presyn_spikes), [j])[0]
 
 
 def spike_time_weight_grad(net: SrmNet, presyn_spikes, j: int, f_j: float | None = None) -> np.ndarray:
@@ -209,7 +265,7 @@ def spikeprop_grad(net: SrmNet, presyn_spikes, targets) -> np.ndarray:
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != (net.n_out,):
         raise ValueError(f"need {net.n_out} target times, got shape {targets.shape}")
-    first = [find_spike_time(net, presyn_spikes, j) for j in range(net.n_out)]
+    first = _first_spikes(net, _spike_arrays(presyn_spikes), range(net.n_out))
     if None in first:
         raise DeadNeuronError(first.index(None))
     _, dl_df = _square_error(targets, np.array(first))
@@ -229,6 +285,13 @@ class SpikePropHistory:
         return self.rows[-1][1]
 
 
+def _check_finite(what: str, rows: np.ndarray, epoch: int, sample: int) -> None:
+    """Raise ValueError naming the first output whose row holds a NaN or inf."""
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise ValueError(f"non-finite {what} of output {bad[0]} at epoch {epoch}, sample {sample}")
+
+
 def train_spikeprop(
     net: SrmNet,
     dataset,
@@ -243,15 +306,21 @@ def train_spikeprop(
     is lowered by ``dead_neuron_factor`` and the sample retried, counting
     and logging each intervention.  ``max_threshold_drops`` caps the drops
     over the whole run: the next silent output raises ``DeadNeuronError``
-    before any update from that sample.
+    before any update from that sample.  A non-finite gradient or updated
+    weight raises ``ValueError`` naming the epoch, sample and output, with
+    the weights left as they were.
     """
     samples = dataset.samples if hasattr(dataset, "samples") else list(dataset)
     if len(samples) == 0:
         raise ValueError("dataset is empty")
+    if not (np.isfinite(lr) and lr >= 0.0):
+        raise ValueError(f"lr must be finite and non-negative, got {lr}")
+    if not 0.0 < dead_neuron_factor < 1.0:
+        raise ValueError(f"dead_neuron_factor must lie in (0, 1), got {dead_neuron_factor}")
     history = SpikePropHistory()
     for epoch in range(epochs):
         epoch_loss = 0.0
-        for presyn, targets in samples:
+        for index, (presyn, targets) in enumerate(samples):
             while True:
                 try:
                     grad = spikeprop_grad(net, presyn, targets)
@@ -266,8 +335,11 @@ def train_spikeprop(
                         dead.neuron,
                         net.theta[dead.neuron],
                     )
-            net.w = net.w - lr * grad
-            first = [find_spike_time(net, presyn, j) for j in range(net.n_out)]
+            _check_finite("gradient", grad, epoch, index)
+            w = net.w - lr * grad
+            _check_finite("updated weight", w, epoch, index)
+            net.w = w
+            first = _first_spikes(net, _spike_arrays(presyn), range(net.n_out))
             epoch_loss += float("inf") if None in first else _square_error(targets, np.array(first))[0]
         history.rows.append((epoch, epoch_loss / len(samples)))
     return history

@@ -227,6 +227,67 @@ class TestTrainSpikeProp:
             train_spikeprop(net, ds + [self._silent_sample()], lr=0.01, epochs=1, max_threshold_drops=5)
         assert np.array_equal(net.w, after_good.w)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -0.01])
+    def test_bad_lr_rejected(self, lr):
+        net, ds = self._toy()
+        with pytest.raises(ValueError, match="lr must be finite and non-negative"):
+            train_spikeprop(net, ds, lr=lr, epochs=1)
+
+    @pytest.mark.parametrize("factor", [0.0, 1.0, 1.5, -0.5, float("nan")])
+    def test_dead_neuron_factor_outside_unit_interval_rejected(self, factor):
+        net, ds = self._toy()
+        with pytest.raises(ValueError, match=r"dead_neuron_factor must lie in \(0, 1\)"):
+            train_spikeprop(net, ds, lr=0.01, epochs=1, dead_neuron_factor=factor)
+
+    def _two_output_run(self):
+        net = SrmNet(w=np.array([[1.0, 0.8], [0.9, 1.1]]), tau=1.0, theta=1.0, t_end=8.0)
+        presyn = [[0.0], [0.3]]
+        first = [find_spike_time(net, presyn, j) for j in range(2)]
+        return net, [(presyn, np.array(first) - 0.2)] * 2
+
+    @pytest.mark.parametrize(
+        "nan_call, where",
+        [(1, "output 0 at epoch 0, sample 0"), (4, "output 1 at epoch 0, sample 1"), (5, "output 0 at epoch 1, sample 0")],
+    )
+    def test_non_finite_gradient_raises_and_leaves_weights(self, monkeypatch, nan_call, where):
+        import spikegrad.spikeprop as sp
+
+        net, ds = self._two_output_run()
+        real = sp.spike_time_weight_grad
+        calls = []
+        w_before = []
+
+        def nan_on_one_call(net, presyn, j, f_j=None):
+            calls.append(j)
+            grad = real(net, presyn, j, f_j)
+            if len(calls) != nan_call:
+                return grad
+            w_before.append(net.w.copy())
+            return grad * np.nan
+
+        monkeypatch.setattr(sp, "spike_time_weight_grad", nan_on_one_call)
+        with pytest.raises(ValueError, match=f"non-finite gradient of {where}$"):
+            train_spikeprop(net, ds, lr=0.01, epochs=2)
+        assert np.array_equal(net.w, w_before[0])
+
+    def test_non_finite_updated_weight_raises_and_leaves_weights(self, monkeypatch):
+        import spikegrad.spikeprop as sp
+
+        net, ds = self._two_output_run()
+        w0 = net.w.copy()
+        real = sp.spike_time_weight_grad
+
+        def huge_for_output_1(net, presyn, j, f_j=None):
+            grad = real(net, presyn, j, f_j)
+            return np.full_like(grad, 1e300) if j == 1 else grad
+
+        monkeypatch.setattr(sp, "spike_time_weight_grad", huge_for_output_1)
+        with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="non-finite updated weight of output 1 at epoch 0, sample 0"
+        ):
+            train_spikeprop(net, ds, lr=1e10, epochs=1)
+        assert np.array_equal(net.w, w0)
+
     def test_non_finite_input_spike_rejected(self):
         net, ds = self._toy()
         presyn, target = ds[0]
@@ -239,6 +300,20 @@ class TestSrmNetValidation:
     def test_dt_fine_bound(self):
         with pytest.raises(ValueError):
             SrmNet(w=np.ones((1, 1)), tau=1.0, theta=1.0, t_end=5.0, dt_fine=0.5)
+
+    @pytest.mark.parametrize("theta", [-0.1, 0.0, float("nan"), float("inf")])
+    def test_threshold_must_be_finite_and_positive(self, theta):
+        with pytest.raises(ValueError, match="theta of output neuron 1 is"):
+            SrmNet(w=np.ones((3, 2)), tau=1.0, theta=[1.0, theta, 1.0], t_end=5.0)
+        with pytest.raises(ValueError, match="theta of output neuron 0 is"):
+            SrmNet(w=np.ones((3, 2)), tau=1.0, theta=theta, t_end=5.0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_weight_rejected(self, value):
+        w = np.ones((2, 3))
+        w[1, 2] = value
+        with pytest.raises(ValueError, match=r"w\[1, 2\] is"):
+            SrmNet(w=w, tau=1.0, theta=1.0, t_end=5.0)
 
     def test_scalar_theta_broadcasts(self):
         net = SrmNet(w=np.ones((3, 2)), tau=1.0, theta=0.9, t_end=5.0)

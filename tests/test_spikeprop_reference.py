@@ -12,6 +12,11 @@ cross threshold must agree in every case.
 * Up to 50 spikes per input they agree within 1e-12 relative. From 8
   values on, numpy sums a row in blocks of 8, so a row padded past a block
   boundary is grouped differently from the same row unpadded.
+
+The same copies check the shared kernel grid: all outputs bisected together
+give the spike times of bisecting each alone, a training run gives the
+history, weights and thresholds of the reference loop, and the one-entry
+grid cache never returns another sample's or another kernel's grid.
 """
 
 import numpy as np
@@ -26,6 +31,7 @@ from spikegrad.spikeprop import (
     alpha_kernel,
     alpha_kernel_deriv,
 )
+from spikegrad.objectives import _square_error
 
 # ---------------------------------------------------------------------------
 # reference engine (verbatim copies of the per-input loops)
@@ -207,3 +213,195 @@ def test_all_inputs_empty():
         with pytest.raises(DeadNeuronError):
             sp.spike_time_weight_grad(net, presyn, j)
     assert np.array_equal(sp.srm_membrane(net, presyn, np.linspace(0, 6, 7)), np.zeros((2, 7)))
+
+
+# ---------------------------------------------------------------------------
+# one kernel grid per sample, all outputs bisected together
+
+
+def _multi_output_net(seed: int, max_spikes: int):
+    """1-7 inputs, 1-4 outputs with their own thresholds; some nets steep enough
+    that outputs stop by the depth rule rather than the residual."""
+    rng = np.random.default_rng(seed)
+    n_in = int(rng.integers(1, 8))
+    n_out = int(rng.integers(1, 5))
+    tau = float(rng.uniform(0.5, 2.0))
+    t_end = 6.0 * tau
+    presyn = [rng.uniform(0.0, 0.5 * t_end, size=int(rng.integers(0, max_spikes + 1))) for _ in range(n_in)]
+    total = sum(f.size for f in presyn)
+    gain = 10.0 ** rng.uniform(5.0, 9.0) if rng.random() < 0.25 else rng.uniform(0.5, 4.0)
+    w = rng.uniform(-0.3, 1.5, size=(n_out, n_in)) * (2.5 / max(total, 1)) * gain
+    theta = rng.uniform(0.5, 1.5, size=n_out)
+    return SrmNet(w=w, tau=tau, theta=theta, t_end=t_end), presyn
+
+
+def _spy_bisection_widths(monkeypatch) -> list[int]:
+    """Record how many outputs each bisection step of ``_first_spikes`` evaluates."""
+    widths = []
+    kernel_sums = sp._kernel_sums
+
+    def spy(spikes, t, tau):
+        t = np.asarray(t)
+        if t.ndim == 1 and t.size <= 4:
+            widths.append(t.size)
+        return kernel_sums(spikes, t, tau)
+
+    monkeypatch.setattr(sp, "_kernel_sums", spy)
+    return widths
+
+
+def _compare_all_outputs(seeds, max_spikes: int, check, widths: list[int]):
+    """_first_spikes over every output against the reference, output by output.
+
+    Returns the silent outputs, the nets whose outputs stopped at different
+    bisection steps, and the nets that bisected to the depth cap.
+    """
+    silent = staggered = to_depth = 0
+    for seed in seeds:
+        net, presyn = _multi_output_net(seed, max_spikes)
+        widths.clear()
+        got = sp._first_spikes(net, sp._spike_arrays(presyn), range(net.n_out))
+        ref = [find_spike_time(net, presyn, j) for j in range(net.n_out)]
+        assert [f is None for f in got] == [f is None for f in ref], f"seed {seed}: {got} vs {ref}"
+        for j, (f_new, f_ref) in enumerate(zip(got, ref)):
+            if f_ref is not None:
+                check(f_new, f_ref, f"seed {seed}, output {j}")
+        silent += ref.count(None)
+        staggered += any(b < a for a, b in zip(widths, widths[1:]))
+        to_depth += len(widths) == BISECTION_DEPTH
+    return silent, staggered, to_depth
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_all_outputs_together_equal_the_reference_up_to_seven_spikes(block, monkeypatch):
+    widths = _spy_bisection_widths(monkeypatch)
+    silent, staggered, to_depth = _compare_all_outputs(
+        range(3000 + 75 * block, 3000 + 75 * block + 75), 7, _assert_equal, widths
+    )
+    assert silent >= 10 and staggered >= 10 and to_depth >= 3
+
+
+@pytest.mark.parametrize("block", range(2))
+def test_all_outputs_together_close_to_the_reference_up_to_fifty_spikes(block, monkeypatch):
+    widths = _spy_bisection_widths(monkeypatch)
+    silent, staggered, to_depth = _compare_all_outputs(
+        range(4000 + 40 * block, 4000 + 40 * block + 40), 50, _assert_close, widths
+    )
+    assert silent >= 5 and staggered >= 5
+
+
+def test_threshold_on_a_grid_membrane_brackets_as_the_reference():
+    # theta equal to one grid value of U_j: which grid point is the first above
+    # threshold depends on the last bit of the grid membrane, so only the same
+    # per-output product as the reference finds the same bracket
+    cases = 0
+    for seed in range(5000, 5040):
+        net, presyn = _multi_output_net(seed, 3)
+        grid = np.arange(0.0, net.t_end + net.dt_fine, net.dt_fine)
+        for j in range(net.n_out):
+            u = net.w[j] @ _kernel_sums(_spike_arrays(presyn), grid, net.tau)
+            rising = np.nonzero((u[1:] > u[:-1]) & (u[1:] > 0.0))[0]
+            if rising.size == 0:
+                continue
+            net.theta[j] = u[1 + rising[rising.size // 3]]
+            cases += 1
+        got = sp._first_spikes(net, sp._spike_arrays(presyn), range(net.n_out))
+        assert got == [find_spike_time(net, presyn, j) for j in range(net.n_out)], f"seed {seed}"
+    assert cases >= 40
+
+
+def _workload_samples(seed: int, n_samples: int, weak_output: float = 1.0):
+    """10 inputs with one jittered spike each and 2 outputs, as in the perfbench
+    workload: targets 0.1 tau after and before the initial crossings.  A weak
+    second output is silent in the initial net, gets the target 1.5 tau and
+    needs threshold drops."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.5, 1.5, size=(2, 10)) * 0.2
+    w[1] *= weak_output
+    net = SrmNet(w=w, tau=1.0, theta=1.0, t_end=6.0)
+    samples = []
+    for _ in range(n_samples):
+        presyn = [np.array([t]) for t in (rng.permutation(10) + rng.random(10)) * 0.2]
+        first = [find_spike_time(net, presyn, j) for j in range(2)]
+        targets = np.array([1.5 if f is None else f + shift for f, shift in zip(first, (0.1, -0.1))])
+        samples.append((presyn, targets))
+    return net, samples
+
+
+def _reference_train(net: SrmNet, samples, lr: float, epochs: int, factor: float = 0.9):
+    """train_spikeprop's loop on the reference find_spike_time and df/dW."""
+    rows, drops = [], 0
+    for epoch in range(epochs):
+        epoch_loss = 0.0
+        for presyn, targets in samples:
+            while True:
+                first = [find_spike_time(net, presyn, j) for j in range(net.n_out)]
+                if None not in first:
+                    break
+                drops += 1
+                assert drops <= 200, "the reference loop needs more threshold drops than train_spikeprop allows"
+                net.theta[first.index(None)] *= factor
+            _, dl_df = _square_error(targets, np.array(first))
+            grad = np.zeros_like(net.w)
+            for j, f_j in enumerate(first):
+                grad[j] = dl_df[j] * spike_time_weight_grad(net, presyn, j, f_j)
+            net.w = net.w - lr * grad
+            first = [find_spike_time(net, presyn, j) for j in range(net.n_out)]
+            epoch_loss += float("inf") if None in first else _square_error(targets, np.array(first))[0]
+        rows.append((epoch, epoch_loss / len(samples)))
+    return rows, drops
+
+
+@pytest.mark.parametrize("seed, weak_output", [(0, 1.0), (7, 1.0), (11, 0.4)])
+def test_training_equals_the_reference_loop(seed, weak_output):
+    net, samples = _workload_samples(seed, 6, weak_output)
+    ref_net = SrmNet(w=net.w.copy(), tau=net.tau, theta=net.theta.copy(), t_end=net.t_end)
+    rows, drops = _reference_train(ref_net, samples, lr=0.01, epochs=3)
+    history = sp.train_spikeprop(net, samples, lr=0.01, epochs=3)
+    assert history.rows == rows
+    assert history.threshold_interventions == drops
+    assert (drops > 0) == (weak_output < 1.0)
+    assert np.array_equal(net.w, ref_net.w)
+    assert np.array_equal(net.theta, ref_net.theta)
+
+
+def test_grid_cache_keys_on_the_kernel_and_every_spike():
+    presyn = [[0.1, 0.9], [0.3], []]
+    moved = [[0.1, 0.9], [0.35], []]
+    base = dict(w=np.array([[1.0, 0.8, 0.5], [0.6, 1.3, 0.2]]), tau=1.0, theta=1.0, t_end=6.0, dt_fine=0.001)
+    variants = [
+        (base, moved),
+        ({**base, "tau": 1.1}, presyn),
+        ({**base, "t_end": 6.5}, presyn),
+        ({**base, "dt_fine": 0.0008}, presyn),
+    ]
+    for kwargs, spikes_of in variants:
+        sp._first_spikes(SrmNet(**base), sp._spike_arrays(presyn), range(2))  # fills the cache
+        net, spikes = SrmNet(**kwargs), sp._spike_arrays(spikes_of)
+        grid, sums = sp._grid_sums(net, spikes)
+        fresh = np.arange(0.0, net.t_end + net.dt_fine, net.dt_fine)
+        assert np.array_equal(grid, fresh)
+        assert np.array_equal(sums, sp._kernel_sums(spikes, fresh, net.tau))
+        got = sp._first_spikes(net, spikes, range(2))
+        assert got == [find_spike_time(net, spikes_of, j) for j in range(2)], kwargs
+        assert None not in got
+
+
+def test_grid_arrays_are_read_only():
+    net = SrmNet(w=np.ones((1, 2)), tau=1.0, theta=1.0, t_end=5.0)
+    grid, sums = sp._grid_sums(net, sp._spike_arrays([[0.2], [0.4, 1.0]]))
+    assert not grid.flags.writeable and not sums.flags.writeable
+    with pytest.raises(ValueError):
+        sums[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        grid[0] = 1.0
+
+
+def test_one_grid_per_sample_pass():
+    net, samples = _workload_samples(3, 5)
+    sp._grid_sums.cache_clear()
+    history = sp.train_spikeprop(net, samples, lr=0.01, epochs=3)
+    assert history.threshold_interventions == 0
+    info = sp._grid_sums.cache_info()
+    # a miss for the gradient step, a hit for the loss after the update
+    assert (info.misses, info.hits) == (15, 15)
