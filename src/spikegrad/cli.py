@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -40,12 +41,8 @@ from .neuron import SpikeRaster
 from .objectives import ObjectiveKind, ObjectiveSpec, predict_class
 from .online import train_online
 from .plasticity import perturbation_train, stdp_update
-from .spikeprop import DeadNeuronError, SrmNet, _first_spikes, _spike_arrays, train_spikeprop
+from .spikeprop import DeadNeuronError, SrmNet, find_spike_time, train_spikeprop
 from .tasks import Dataset
-
-
-def _eprint(msg: str) -> None:
-    print(f"error: {msg}", file=sys.stderr)
 
 
 def _eval_model(model, dataset: Dataset, objective: ObjectiveSpec):
@@ -63,12 +60,19 @@ def _eval_model(model, dataset: Dataset, objective: ObjectiveSpec):
     return accuracy, rows, total_spikes / len(dataset.samples)
 
 
+def _scored_epoch(cfg: RunConfig, model, epoch: int, loss: float) -> EpochStats:
+    """An epoch's history row, with the accuracy and spike total of the model as it now is."""
+    accuracy, _, mean_spikes = _eval_model(model, cfg.dataset, cfg.objective)
+    return EpochStats(epoch, loss, accuracy, mean_spikes * len(cfg.dataset.samples))
+
+
 def _raster_to_times(raster, dt: float) -> list[np.ndarray]:
     data = np.asarray(getattr(raster, "data", raster), dtype=np.float64)
     return [np.nonzero(data[:, i])[0].astype(np.float64) * dt for i in range(data.shape[1])]
 
 
-def _train_spikeprop(cfg: RunConfig):
+def _train_spikeprop(cfg: RunConfig) -> TrainHistory:
+    """Train an SrmNet on the spike times; only the last row has an accuracy, of the final weights."""
     sp = cfg.spikeprop
     if len(cfg.layer_sizes) != 2:
         raise ConfigError("config key 'model.layers': spikeprop uses a single weight layer")
@@ -89,20 +93,18 @@ def _train_spikeprop(cfg: RunConfig):
         targets[int(label)] = sp.target_correct
         samples.append((presyn, targets))
 
-    sp_history = train_spikeprop(net, samples, lr=cfg.optimizer.lr, epochs=cfg.epochs)
+    sp_rows = train_spikeprop(net, samples, lr=cfg.optimizer.lr, epochs=cfg.epochs).rows
 
-    history = TrainHistory()
-    for epoch, loss in sp_history.rows:
-        history.rows.append(EpochStats(epoch=epoch, loss=loss, accuracy=float("nan"), total_spikes=float("nan")))
-    # final-state accuracy by earliest output spike
+    # the predicted class is the output that fires first
     preds = []
     for presyn, _ in samples:
-        times = _first_spikes(net, _spike_arrays(presyn), range(n_out))
+        times = [find_spike_time(net, presyn, j) for j in range(n_out)]
         preds.append(int(np.argmin([t if t is not None else float("inf") for t in times])))
     acc = _accuracy(preds, (label for _, label in cfg.dataset.samples))
-    last = history.rows[-1]
-    history.rows[-1] = EpochStats(last.epoch, last.loss, acc, last.total_spikes)
-    return history, None
+    nan = float("nan")
+    last = sp_rows[-1][0]
+    rows = [EpochStats(epoch, loss, acc if epoch == last else nan, nan) for epoch, loss in sp_rows]
+    return TrainHistory(rows)
 
 
 def _train_online_dataset(cfg: RunConfig, model):
@@ -134,15 +136,7 @@ def _train_online_dataset(cfg: RunConfig, model):
                 optimizer=cfg.optimizer,
             )
             losses.append(h.rows[-1][1])
-        accuracy, _, mean_spikes = _eval_model(model, cfg.dataset, cfg.objective)
-        history.rows.append(
-            EpochStats(
-                epoch=epoch,
-                loss=float(np.mean(losses)),
-                accuracy=accuracy,
-                total_spikes=mean_spikes * len(cfg.dataset.samples),
-            )
-        )
+        history.rows.append(_scored_epoch(cfg, model, epoch, float(np.mean(losses))))
     return history
 
 
@@ -180,50 +174,45 @@ def _train_perturbation(cfg: RunConfig, model):
             objective=cfg.objective,
             seed=cfg.seed + epoch,
         )
-        accuracy, _, mean_spikes = _eval_model(model, cfg.dataset, cfg.objective)
-        history.rows.append(
-            EpochStats(
-                epoch=epoch,
-                loss=h.final_loss,
-                accuracy=accuracy,
-                total_spikes=mean_spikes * len(cfg.dataset.samples),
-            )
-        )
+        history.rows.append(_scored_epoch(cfg, model, epoch, h.final_loss))
     return history
+
+
+def _train_bptt(cfg: RunConfig, model):
+    return train_bptt(
+        model,
+        cfg.dataset,
+        cfg.objective,
+        reg=cfg.regularizer,
+        surrogate=cfg.surrogate,
+        feedback=cfg.feedback,
+        optimizer=cfg.optimizer,
+        epochs=cfg.epochs,
+        seed=cfg.seed,
+        batch_size=cfg.batch_size,
+        detach_reset=cfg.detach_reset,
+    )
+
+
+# trainer.kind -> trainer(cfg, model) of the configured layer stack, for every
+# kind in config.TRAINER_KINDS but spikeprop
+_LAYER_TRAINERS = {
+    "bptt": _train_bptt,
+    "online": _train_online_dataset,
+    "stdp": _train_stdp_dataset,
+    "perturbation": _train_perturbation,
+}
 
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
     os.makedirs(cfg.out_dir, exist_ok=True)
 
-    if cfg.trainer_kind == "spikeprop":
-        history, _ = _train_spikeprop(cfg)
-        model = None
+    if cfg.trainer_kind == "spikeprop":  # trains its own SrmNet, which has no checkpoint format
+        model, history = None, _train_spikeprop(cfg)
     else:
-        rng = np.random.default_rng(cfg.seed)
-        model = cfg.build_model(rng)
-        if cfg.trainer_kind == "bptt":
-            history = train_bptt(
-                model,
-                cfg.dataset,
-                cfg.objective,
-                reg=cfg.regularizer,
-                surrogate=cfg.surrogate,
-                feedback=cfg.feedback,
-                optimizer=cfg.optimizer,
-                epochs=cfg.epochs,
-                seed=cfg.seed,
-                batch_size=cfg.batch_size,
-                detach_reset=cfg.detach_reset,
-            )
-        elif cfg.trainer_kind == "online":
-            history = _train_online_dataset(cfg, model)
-        elif cfg.trainer_kind == "stdp":
-            history = _train_stdp_dataset(cfg, model)
-        elif cfg.trainer_kind == "perturbation":
-            history = _train_perturbation(cfg, model)
-        else:
-            raise ConfigError(f"config key 'trainer.kind': unknown value {cfg.trainer_kind!r}")
+        model = cfg.build_model(np.random.default_rng(cfg.seed))
+        history = _LAYER_TRAINERS[cfg.trainer_kind](cfg, model)
 
     history.write_csv(os.path.join(cfg.out_dir, "history.csv"))
     if model is not None:
@@ -254,32 +243,25 @@ def cmd_eval(args) -> int:
 
 def cmd_encode(args) -> int:
     try:
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # empty file handled below
             features = np.loadtxt(args.infile, delimiter=",", dtype=np.float64, ndmin=2)
     except OSError:
-        _eprint(f"cannot read feature file {args.infile!r}")
-        return 2
+        raise ValueError(f"cannot read feature file {args.infile!r}") from None
     except ValueError as exc:
-        _eprint(f"feature file {args.infile!r}: {exc}")
-        return 2
+        raise ValueError(f"feature file {args.infile!r}: {exc}") from None
     if features.size == 0:
-        _eprint(f"feature file {args.infile!r} is empty")
-        return 2
+        raise ValueError(f"feature file {args.infile!r} is empty")
 
     if args.scheme == "rate":
         if features.shape[0] != 1:
-            _eprint("rate encoding expects a single CSV row of features")
-            return 2
+            raise ValueError("rate encoding expects a single CSV row of features")
         raster = rate_encode(
             features[0], t_steps=args.t_steps, rng=np.random.default_rng(args.seed)
         )
     elif args.scheme == "latency":
         if features.shape[0] != 1:
-            _eprint("latency encoding expects a single CSV row of features")
-            return 2
+            raise ValueError("latency encoding expects a single CSV row of features")
         clamp = ClampMode.FORCE_LAST if args.force_last else ClampMode.NO_SPIKE
         raster = latency_encode(
             features[0],
@@ -291,8 +273,7 @@ def cmd_encode(args) -> int:
         if args.bipolar:
             on, off = encoded
             if not args.out_off:
-                _eprint("bipolar delta encoding needs --out-off for the offset raster")
-                return 2
+                raise ValueError("bipolar delta encoding needs --out-off for the offset raster")
             save_events(off, args.out_off)
             raster = on
         else:
@@ -386,18 +367,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        _eprint(str(exc))
-        return 2
     except FileNotFoundError as exc:
-        _eprint(f"missing file: {exc.filename}")
-        return 2
-    except ValueError as exc:
-        _eprint(str(exc))
-        return 2
-    except DeadNeuronError as exc:
-        _eprint(str(exc))
-        return 1
+        message, code = f"missing file: {exc.filename}", 2
+    except ValueError as exc:  # bad input, ConfigError included
+        message, code = str(exc), 2
+    except DeadNeuronError as exc:  # a training outcome, not bad input
+        message, code = str(exc), 1
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

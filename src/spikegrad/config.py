@@ -36,7 +36,10 @@ from .plasticity import Pairing, StdpParams
 from .surrogate import SurrogateKind, SurrogateVariant
 from .tasks import Dataset, gen_latency_task, gen_rate_task, load_event_dataset
 
-__all__ = ["ConfigError", "RunConfig", "parse_config_file", "load_run_config"]
+__all__ = ["ConfigError", "RunConfig", "TRAINER_KINDS", "parse_config_file", "load_run_config"]
+
+# the values of trainer.kind, each a trainer in ``spikegrad train``
+TRAINER_KINDS = ("bptt", "online", "spikeprop", "stdp", "perturbation")
 
 
 class ConfigError(ValueError):
@@ -62,6 +65,13 @@ def parse_config_file(path) -> dict[str, str]:
     return out
 
 
+_BOOLEANS = dict.fromkeys(("1", "true", "yes", "on"), True) | dict.fromkeys(("0", "false", "no", "off"), False)
+
+
+def _items(v: str, convert) -> list:
+    return [convert(p) for p in v.split(",") if p.strip() != ""]
+
+
 class _Keys:
     """Typed accessors over the raw key/value dict, tracking consumption."""
 
@@ -69,72 +79,67 @@ class _Keys:
         self.raw = dict(raw)
         self.used: set[str] = set()
 
-    def _get(self, key: str, default, required: bool):
+    def _get(self, key: str, required: bool) -> str | None:
         if key in self.raw:
             self.used.add(key)
             return self.raw[key]
         if required:
             raise ConfigError(f"missing required config key '{key}'")
-        return default
+        return None
+
+    def _convert(self, key: str, default, required: bool, convert, expected: str):
+        v = self._get(key, required)
+        if v is None:
+            return default
+        try:
+            return convert(v)
+        except (KeyError, ValueError):
+            raise ConfigError(f"config key '{key}': expected {expected}, got {v!r}") from None
 
     def str(self, key: str, default: str | None = None, required: bool = False):
-        return self._get(key, default, required)
+        v = self._get(key, required)
+        return default if v is None else v
 
     def int(self, key: str, default=None, required: bool = False):
-        v = self._get(key, default, required)
-        if v is default:
-            return default
-        try:
-            return int(v)
-        except ValueError:
-            raise ConfigError(f"config key '{key}': expected an integer, got {v!r}") from None
+        return self._convert(key, default, required, int, "an integer")
 
     def float(self, key: str, default=None, required: bool = False):
-        v = self._get(key, default, required)
-        if v is default:
-            return default
-        try:
-            return float(v)
-        except ValueError:
-            raise ConfigError(f"config key '{key}': expected a number, got {v!r}") from None
+        return self._convert(key, default, required, float, "a number")
 
     def flag(self, key: str, default: bool = False):
-        v = self._get(key, None, False)
-        if v is None:
-            return default
-        if v in ("1", "true", "yes", "on"):
-            return True
-        if v in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"config key '{key}': expected a boolean, got {v!r}")
+        return self._convert(key, default, False, _BOOLEANS.__getitem__, "a boolean")
 
     def int_list(self, key: str, required: bool = False):
-        v = self._get(key, None, required)
-        if v is None:
-            return None
-        try:
-            return [int(p) for p in v.split(",") if p.strip() != ""]
-        except ValueError:
-            raise ConfigError(f"config key '{key}': expected comma-separated integers, got {v!r}") from None
+        return self._convert(key, None, required, lambda v: _items(v, int), "comma-separated integers")
 
     def float_list(self, key: str):
-        v = self._get(key, None, False)
-        if v is None:
-            return None
-        try:
-            return [float(p) for p in v.split(",") if p.strip() != ""]
-        except ValueError:
-            raise ConfigError(f"config key '{key}': expected comma-separated numbers, got {v!r}") from None
+        return self._convert(key, None, False, lambda v: _items(v, float), "comma-separated numbers")
 
-    def choice(self, key: str, options: dict, default=None, required: bool = False):
-        v = self._get(key, None, required)
+    def choice(self, key: str, options, default=None, required: bool = False):
+        """The option named by the key's value; ``options`` is a dict or an enum class."""
+        v = self._get(key, required)
         if v is None:
             return default
+        if isinstance(options, type):
+            options = {m.value: m for m in options}
         if v not in options:
             raise ConfigError(
                 f"config key '{key}': unknown value {v!r}, expected one of {sorted(options)}"
             )
         return options[v]
+
+    def given(self, **fields) -> dict:
+        """Keyword arguments for the keys the file sets, each field given as (key, type).
+
+        The type is int, float, bool or an enum class.  An unset key is left
+        out, so the class that receives the arguments applies its own default.
+        """
+        readers = {int: self.int, float: self.float, bool: self.flag}
+        return {
+            name: readers[kind](key) if kind in readers else self.choice(key, kind)
+            for name, (key, kind) in fields.items()
+            if key in self.raw
+        }
 
     def reject_unknown(self) -> None:
         unknown = sorted(set(self.raw) - self.used)
@@ -146,12 +151,12 @@ class _Keys:
 class SpikePropCfg:
     """Settings of the continuous-time trainer (only read when it is selected)."""
 
-    tau: float = 1.0
-    theta: float = 1.0
-    t_end: float = 6.0
-    dt_fine: float | None = None
-    target_correct: float = 1.0
-    target_incorrect: float = 3.0
+    tau: float
+    theta: float
+    t_end: float
+    dt_fine: float | None
+    target_correct: float
+    target_incorrect: float
 
 
 @dataclass
@@ -178,7 +183,7 @@ class RunConfig:
     stdp: StdpParams
     perturb_sigma: float
     perturb_trials: int
-    spikeprop: SpikePropCfg = SpikePropCfg()
+    spikeprop: SpikePropCfg
 
     def build_model(self, rng: np.random.Generator) -> list[SnnLayer]:
         layers = []
@@ -244,18 +249,16 @@ def _per_layer(values, n_layers: int, key: str):
 def _stdp_params(keys: _Keys) -> StdpParams:
     """The pairing-rule settings, shared by training runs and ``stdp-demo``."""
     return StdpParams(
-        a_plus=keys.float("stdp.a_plus", 0.01),
-        a_minus=keys.float("stdp.a_minus", -0.012),
-        tau_plus=keys.float("stdp.tau_plus", 20.0),
-        tau_minus=keys.float("stdp.tau_minus", 20.0),
         w_min=keys.float("stdp.w_min", -1.0),
         w_max=keys.float("stdp.w_max", 1.0),
-        pairing=keys.choice(
-            "stdp.pairing",
-            {p.value: p for p in Pairing},
-            default=Pairing.ALL_PAIRS,
+        **keys.given(
+            a_plus=("stdp.a_plus", float),
+            a_minus=("stdp.a_minus", float),
+            tau_plus=("stdp.tau_plus", float),
+            tau_minus=("stdp.tau_minus", float),
+            pairing=("stdp.pairing", Pairing),
+            window=("stdp.window", float),
         ),
-        window=keys.float("stdp.window", 100.0),
     )
 
 
@@ -281,95 +284,77 @@ def load_run_config(path) -> RunConfig:
     betas = _per_layer(keys.float_list("model.beta"), n_layers, "model.beta")
     if betas is None:
         betas = [beta_from_tau(tau) if tau is not None else 0.9] * n_layers
-    thetas = _per_layer(keys.float_list("model.theta"), n_layers, "model.theta") or [1.0] * n_layers
-    reset = keys.choice(
-        "model.reset",
-        {m.value: m for m in ResetMode},
-        default=ResetMode.SUBTRACT,
+    thetas = _per_layer(keys.float_list("model.theta"), n_layers, "model.theta")
+    lif_kw = keys.given(
+        reset_mode=("model.reset", ResetMode),
+        adapt_alpha=("model.adapt_alpha", float),
+        learn_beta=("model.learn_beta", bool),
     )
-    adapt = keys.float("model.adapt_alpha", 0.0)
-    learn_beta = keys.flag("model.learn_beta", False)
     rec_list = keys.int_list("model.recurrent")
     recurrent = [bool(r) for r in (_per_layer(rec_list, n_layers, "model.recurrent") or [0] * n_layers)]
     try:
         lif_params = [
-            LifParams(
-                beta=betas[l], theta0=thetas[l], reset_mode=reset,
-                adapt_alpha=adapt, learn_beta=learn_beta,
-            )
+            LifParams(beta=betas[l], **lif_kw, **({} if thetas is None else {"theta0": thetas[l]}))
             for l in range(n_layers)
         ]
     except ValueError as exc:
         raise ConfigError(f"config key 'model.*': {exc}") from exc
 
     objective = ObjectiveSpec(
-        kind=keys.choice(
-            "objective.kind",
-            {k.value: k for k in ObjectiveKind},
-            required=True,
+        kind=keys.choice("objective.kind", ObjectiveKind, required=True),
+        **keys.given(
+            inversion=("objective.inversion", Inversion),
+            f0=("objective.f0", float),
+            gamma=("objective.gamma", float),
+            count_target_correct=("objective.count_target_correct", float),
+            count_target_incorrect=("objective.count_target_incorrect", float),
+            membrane_target_correct=("objective.membrane_target_correct", float),
+            membrane_target_incorrect=("objective.membrane_target_incorrect", float),
         ),
-        inversion=keys.choice(
-            "objective.inversion",
-            {i.value: i for i in Inversion},
-            default=Inversion.NEGATE,
-        ),
-        f0=keys.float("objective.f0", 0.0),
-        gamma=keys.float("objective.gamma", 0.0),
-        count_target_correct=keys.float("objective.count_target_correct", None),
-        count_target_incorrect=keys.float("objective.count_target_incorrect", None),
-        membrane_target_correct=keys.float("objective.membrane_target_correct", None),
-        membrane_target_incorrect=keys.float("objective.membrane_target_incorrect", 0.0),
     )
 
     try:
         regularizer = RegularizerSpec(
-            lambda_l1=keys.float("reg.lambda_l1", 0.0),
-            lambda_upper=keys.float("reg.lambda_upper", 0.0),
-            theta_upper=keys.float("reg.theta_upper", 0.0),
-            upper_exponent=keys.int("reg.upper_exponent", 2),
-            lambda_lower=keys.float("reg.lambda_lower", 0.0),
-            theta_lower=keys.float("reg.theta_lower", 0.0),
+            **keys.given(
+                lambda_l1=("reg.lambda_l1", float),
+                lambda_upper=("reg.lambda_upper", float),
+                theta_upper=("reg.theta_upper", float),
+                upper_exponent=("reg.upper_exponent", int),
+                lambda_lower=("reg.lambda_lower", float),
+                theta_lower=("reg.theta_lower", float),
+            )
         )
     except ValueError as exc:
         raise ConfigError(f"config key 'reg.*': {exc}") from exc
 
-    sur_variant = keys.choice(
-        "surrogate.kind",
-        {
-            "heaviside": SurrogateVariant.HEAVISIDE,
-            "sigmoid": SurrogateVariant.SIGMOID,
-            "fast_sigmoid": SurrogateVariant.FAST_SIGMOID,
-            "triangular": SurrogateVariant.TRIANGULAR,
-            "hybrid_spike": SurrogateVariant.HYBRID_SPIKE,
-            "shifted_relu": SurrogateVariant.SHIFTED_RELU,
-        },
-        default=SurrogateVariant.FAST_SIGMOID,
-    )
     surrogate = SurrogateKind(
-        variant=sur_variant,
-        k=keys.float("surrogate.slope", 25.0),
-        c=keys.float("surrogate.subthreshold_scale", 0.0),
-        scale=keys.float("surrogate.scale", 1.0),
+        variant=keys.choice(
+            "surrogate.kind",
+            {v.value: v for v in SurrogateVariant if v is not SurrogateVariant.SIGMOID_EXACT},
+            default=SurrogateVariant.FAST_SIGMOID,
+        ),
+        **keys.given(
+            k=("surrogate.slope", float),
+            c=("surrogate.subthreshold_scale", float),
+            scale=("surrogate.scale", float),
+        ),
     )
 
-    opt_kind = keys.choice(
-        "optimizer.kind",
-        {k.value: k for k in OptimizerKind},
-        default=OptimizerKind.ADAM,
-    )
     optimizer = OptimizerState(
-        kind=opt_kind,
+        kind=keys.choice("optimizer.kind", OptimizerKind, default=OptimizerKind.ADAM),
         lr=keys.float("optimizer.lr", 1e-3),
-        beta1=keys.float("optimizer.beta1", 0.9),
-        beta2=keys.float("optimizer.beta2", 0.999),
-        eps=keys.float("optimizer.eps", 1e-8),
+        **keys.given(
+            beta1=("optimizer.beta1", float),
+            beta2=("optimizer.beta2", float),
+            eps=("optimizer.eps", float),
+        ),
     )
 
     policy_name = keys.str("trainer.update_policy", "deferred")
     if policy_name == "deferred":
         policy = UpdatePolicy.deferred()
     elif policy_name == "per_step":
-        policy = UpdatePolicy.per_step(keys.int("trainer.interval", 1))
+        policy = UpdatePolicy.per_step(**keys.given(interval=("trainer.interval", int)))
     else:
         raise ConfigError(
             f"config key 'trainer.update_policy': unknown value {policy_name!r}"
@@ -387,7 +372,7 @@ def load_run_config(path) -> RunConfig:
 
     cfg = RunConfig(
         raw=raw,
-        trainer_kind=keys.str("trainer.kind", "bptt"),
+        trainer_kind=keys.choice("trainer.kind", {k: k for k in TRAINER_KINDS}, default="bptt"),
         dataset=dataset,
         layer_sizes=layer_sizes,
         lif_params=lif_params,
@@ -395,11 +380,7 @@ def load_run_config(path) -> RunConfig:
         objective=objective,
         regularizer=regularizer,
         surrogate=surrogate,
-        feedback=keys.choice(
-            "trainer.feedback",
-            {f.value: f for f in Feedback},
-            default=Feedback.SYMMETRIC,
-        ),
+        feedback=keys.choice("trainer.feedback", Feedback, default=Feedback.SYMMETRIC),
         detach_reset=keys.flag("trainer.detach_reset", True),
         optimizer=optimizer,
         epochs=keys.int("train.epochs", 1),
@@ -412,7 +393,5 @@ def load_run_config(path) -> RunConfig:
         perturb_trials=keys.int("trainer.trials", 100),
         spikeprop=spikeprop,
     )
-    if cfg.trainer_kind not in ("bptt", "online", "spikeprop", "stdp", "perturbation"):
-        raise ConfigError(f"config key 'trainer.kind': unknown value {cfg.trainer_kind!r}")
     keys.reject_unknown()
     return cfg

@@ -48,7 +48,9 @@ class StdpParams:
 
     a_minus should be negative for depression.  The defaults keep the net
     drift mildly depressive (|A-| slightly above A+), a standard stability
-    choice; all values are plain knobs.
+    choice; all values are plain knobs.  The amplitudes must be finite and
+    the time constants finite and positive; the bounds and the window may be
+    infinite but not NaN.
     """
 
     a_plus: float = 0.01
@@ -61,8 +63,13 @@ class StdpParams:
     window: float = 100.0
 
     def __post_init__(self):
-        if self.tau_plus <= 0.0 or self.tau_minus <= 0.0:
-            raise ValueError("tau_plus and tau_minus must be positive")
+        for name, value in vars(self).items():
+            if name in ("a_plus", "a_minus") and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if name in ("tau_plus", "tau_minus") and not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+            if name in ("w_min", "w_max", "window") and math.isnan(value):
+                raise ValueError(f"{name} must not be NaN")
         if self.w_min > self.w_max:
             raise ValueError(f"w_min {self.w_min} exceeds w_max {self.w_max}")
 
@@ -164,7 +171,8 @@ def perturbation_train(
     Each trial perturbs every weight matrix at once by N(0, sigma), keeps
     the perturbation if the dataset loss strictly decreased, and reverts
     otherwise.  The recorded loss is therefore non-increasing (and constant
-    in the degenerate sigma = 0 case).
+    in the degenerate sigma = 0 case).  A non-finite dataset loss raises
+    ValueError naming the trial, with the weights of the last accepted trial.
     """
     if sigma < 0.0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
@@ -173,6 +181,8 @@ def perturbation_train(
         raise ValueError("dataset is empty")
     rng = np.random.default_rng(seed)
     best = _dataset_loss(model, samples, objective)
+    if not math.isfinite(best):
+        raise ValueError(f"non-finite loss {best} before trial 0")
     history = PerturbationHistory()
     for trial in range(trials):
         saved = [layer.w for layer in model]
@@ -187,5 +197,7 @@ def perturbation_train(
             # bit-exact, and the kept model must be the one that scored best
             for layer, w in zip(model, saved):
                 layer.w = w
+            if not math.isfinite(candidate):
+                raise ValueError(f"non-finite loss {candidate} at trial {trial}")
             history.rows.append((trial, best, False))
     return history

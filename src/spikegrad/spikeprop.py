@@ -308,7 +308,9 @@ def train_spikeprop(
     over the whole run: the next silent output raises ``DeadNeuronError``
     before any update from that sample.  A non-finite gradient or updated
     weight raises ``ValueError`` naming the epoch, sample and output, with
-    the weights left as they were.
+    the weights left as they were.  Every sample's spike matrix is built
+    before the first update, so a non-finite input spike time raises
+    ``ValueError`` naming the sample and input before anything changes.
     """
     samples = dataset.samples if hasattr(dataset, "samples") else list(dataset)
     if len(samples) == 0:
@@ -317,6 +319,12 @@ def train_spikeprop(
         raise ValueError(f"lr must be finite and non-negative, got {lr}")
     if not 0.0 < dead_neuron_factor < 1.0:
         raise ValueError(f"dead_neuron_factor must lie in (0, 1), got {dead_neuron_factor}")
+    spike_matrices = []
+    for index, (presyn, _) in enumerate(samples):
+        try:
+            spike_matrices.append(_spike_arrays(presyn))
+        except ValueError as exc:
+            raise ValueError(f"sample {index}: {exc}") from None
     history = SpikePropHistory()
     for epoch in range(epochs):
         epoch_loss = 0.0
@@ -339,7 +347,7 @@ def train_spikeprop(
             w = net.w - lr * grad
             _check_finite("updated weight", w, epoch, index)
             net.w = w
-            first = _first_spikes(net, _spike_arrays(presyn), range(net.n_out))
+            first = _first_spikes(net, spike_matrices[index], range(net.n_out))
             epoch_loss += float("inf") if None in first else _square_error(targets, np.array(first))[0]
         history.rows.append((epoch, epoch_loss / len(samples)))
     return history

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line harness."""
 
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -28,6 +29,42 @@ train.seed = 7
 """
 
 
+ONLINE_CONFIG = RATE_CONFIG.replace("trainer.kind = bptt", "trainer.kind = online").replace(
+    "objective.kind = ce_spike_rate", "objective.kind = mse_spike_rate"
+)
+STDP_CONFIG = RATE_CONFIG.replace("trainer.kind = bptt", "trainer.kind = stdp").replace(
+    "model.layers = 4,6,2", "model.layers = 4,3"
+)
+PERTURBATION_CONFIG = (
+    RATE_CONFIG.replace("trainer.kind = bptt", "trainer.kind = perturbation")
+    + "trainer.sigma = 0.05\ntrainer.trials = 10\n"
+)
+SPIKEPROP_CONFIG = """
+task.kind = latency
+task.n_inputs = 4
+task.t_steps = 20
+task.n_classes = 2
+task.samples_per_class = 2
+task.jitter = 0
+model.layers = 4,2
+trainer.kind = spikeprop
+objective.kind = mse_spike_time
+optimizer.lr = 0.002
+train.epochs = 2
+spikeprop.tau = 1.0
+spikeprop.t_end = 8.0
+spikeprop.target_correct = 1.0
+spikeprop.target_incorrect = 2.5
+"""
+TRAINER_CONFIGS = {
+    "bptt": RATE_CONFIG,
+    "online": ONLINE_CONFIG,
+    "stdp": STDP_CONFIG,
+    "perturbation": PERTURBATION_CONFIG,
+    "spikeprop": SPIKEPROP_CONFIG,
+}
+
+
 def write_config(tmp_path, text, out_dir=None, name="run.cfg"):
     out_dir = out_dir or tmp_path / "out"
     path = tmp_path / name
@@ -52,13 +89,17 @@ class TestTrainCommand:
         losses = {row.split(",")[1] for row in rows}
         assert len(losses) == 1
 
-    def test_bit_exact_reproducibility(self, tmp_path):
-        cfg1, out1 = write_config(tmp_path, RATE_CONFIG, tmp_path / "o1", name="a.cfg")
-        cfg2, out2 = write_config(tmp_path, RATE_CONFIG, tmp_path / "o2", name="b.cfg")
-        assert main(["train", "--config", str(cfg1)]) == 0
-        assert main(["train", "--config", str(cfg2)]) == 0
-        assert (out1 / "history.csv").read_bytes() == (out2 / "history.csv").read_bytes()
-        assert (out1 / "checkpoint.txt").read_bytes() == (out2 / "checkpoint.txt").read_bytes()
+    @pytest.mark.parametrize("kind", sorted(TRAINER_CONFIGS))
+    def test_bit_exact_reproducibility(self, tmp_path, kind):
+        cfg, out = write_config(tmp_path, TRAINER_CONFIGS[kind])
+        runs = []
+        for _ in range(2):
+            assert main(["train", "--config", str(cfg)]) == 0
+            runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+            shutil.rmtree(out)
+        checkpoint = set() if kind == "spikeprop" else {"checkpoint.txt"}
+        assert set(runs[0]) == {"history.csv", "config.txt"} | checkpoint
+        assert runs[0] == runs[1]
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["train", "--config", str(tmp_path / "nope.cfg")]) == 2
@@ -136,6 +177,25 @@ objective.kind = mse_spike_time
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "output neuron 1 never fired" in err
+
+    def test_every_trainer_kind_has_a_trainer(self):
+        from spikegrad import cli
+        from spikegrad.config import TRAINER_KINDS
+
+        assert set(cli._LAYER_TRAINERS) | {"spikeprop"} == set(TRAINER_KINDS) == set(TRAINER_CONFIGS)
+
+    def test_infinite_stdp_amplitude_is_an_error(self, tmp_path, capsys):
+        cfg, out = write_config(tmp_path, STDP_CONFIG + "stdp.a_plus = inf\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: a_plus must be finite, got inf\n"
+        assert not (out / "history.csv").exists()
+
+    def test_non_finite_perturbation_loss_is_an_error(self, tmp_path, capsys):
+        text = PERTURBATION_CONFIG.replace("objective.kind = ce_spike_rate", "objective.kind = mse_membrane")
+        cfg, out = write_config(tmp_path, text + "objective.membrane_target_correct = inf\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: non-finite loss inf before trial 0\n"
+        assert not (out / "history.csv").exists()
 
     def test_threads_flag_is_accepted_and_ignored(self, tmp_path):
         cfg1, out1 = write_config(tmp_path, RATE_CONFIG, tmp_path / "o1", name="a.cfg")

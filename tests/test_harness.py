@@ -1,15 +1,22 @@
 """Unit tests for event files, task generators and config parsing."""
 
+import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spikegrad.config import ConfigError, load_run_config, parse_config_file
+from spikegrad.bptt import Feedback, OptimizerKind, OptimizerState
+from spikegrad.config import ConfigError, SpikePropCfg, load_run_config, parse_config_file
 from spikegrad.events import EventFormatError, load_events, save_events
-from spikegrad.neuron import SpikeRaster
+from spikegrad.neuron import LifParams, ResetMode, SpikeRaster, beta_from_tau
+from spikegrad.objectives import Inversion, ObjectiveKind, ObjectiveSpec, RegularizerSpec
+from spikegrad.online import UpdatePolicy
+from spikegrad.plasticity import Pairing, StdpParams
+from spikegrad.surrogate import SurrogateKind, SurrogateVariant
 from spikegrad.tasks import Dataset, gen_latency_task, gen_rate_task, load_event_dataset
 
 
@@ -266,3 +273,155 @@ class TestConfig:
         path = self.write(tmp_path, BASE_CONFIG + "trainer.kind = quantum\n")
         with pytest.raises(ConfigError, match="trainer.kind"):
             load_run_config(path)
+
+    MINIMAL_CONFIG = """
+task.kind = rate
+task.n_inputs = 4
+task.t_steps = 12
+task.rate_lo = 0.1
+task.rate_hi = 0.9
+task.samples_per_class = 3
+model.layers = 4,6,2
+objective.kind = ce_spike_rate
+"""
+
+    def assert_resolves_to(self, cfg, expected):
+        names = {f.name for f in dataclasses.fields(cfg)} - {"dataset", "raw"}
+        assert set(expected) == names
+        for name in sorted(names):
+            assert repr(getattr(cfg, name)) == repr(expected[name]), name
+
+    def test_minimal_config_resolves_every_default(self, tmp_path):
+        cfg = load_run_config(self.write(tmp_path, self.MINIMAL_CONFIG))
+        lif = LifParams(beta=0.9, theta0=1.0, reset_mode=ResetMode.SUBTRACT, adapt_alpha=0.0, learn_beta=False)
+        self.assert_resolves_to(cfg, {
+            "trainer_kind": "bptt",
+            "layer_sizes": [4, 6, 2],
+            "lif_params": [lif, lif],
+            "recurrent": [False, False],
+            "objective": ObjectiveSpec(
+                kind=ObjectiveKind.CE_SPIKE_RATE, inversion=Inversion.NEGATE, f0=0.0, gamma=0.0,
+                count_target_correct=None, count_target_incorrect=None,
+                membrane_target_correct=None, membrane_target_incorrect=0.0,
+            ),
+            "regularizer": RegularizerSpec(
+                lambda_l1=0.0, lambda_upper=0.0, theta_upper=0.0, upper_exponent=2,
+                lambda_lower=0.0, theta_lower=0.0,
+            ),
+            "surrogate": SurrogateKind(SurrogateVariant.FAST_SIGMOID, k=25.0, c=0.0, scale=1.0),
+            "feedback": Feedback.SYMMETRIC,
+            "detach_reset": True,
+            "optimizer": OptimizerState(OptimizerKind.ADAM, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8),
+            "epochs": 1,
+            "batch_size": 32,
+            "seed": 0,
+            "out_dir": ".",
+            "update_policy": UpdatePolicy(interval=math.inf),
+            "stdp": StdpParams(
+                a_plus=0.01, a_minus=-0.012, tau_plus=20.0, tau_minus=20.0, w_min=-1.0, w_max=1.0,
+                pairing=Pairing.ALL_PAIRS, window=100.0,
+            ),
+            "perturb_sigma": 0.01,
+            "perturb_trials": 100,
+            "spikeprop": SpikePropCfg(
+                tau=1.0, theta=1.0, t_end=6.0, dt_fine=None, target_correct=1.0, target_incorrect=3.0
+            ),
+        })
+
+    def test_every_optional_key_resolves_to_its_value(self, tmp_path):
+        text = self.MINIMAL_CONFIG + """
+model.tau = 7.5
+model.theta = 1.25,0.75
+model.reset = zero
+model.adapt_alpha = 0.3
+model.learn_beta = yes
+model.recurrent = 1,0
+objective.inversion = reciprocal
+objective.f0 = 0.5
+objective.gamma = 0.25
+objective.count_target_correct = 5
+objective.count_target_incorrect = 1
+objective.membrane_target_correct = 1.5
+objective.membrane_target_incorrect = 0.125
+reg.lambda_l1 = 0.01
+reg.lambda_upper = 0.02
+reg.theta_upper = 3
+reg.upper_exponent = 1
+reg.lambda_lower = 0.03
+reg.theta_lower = 0.5
+surrogate.kind = hybrid_spike
+surrogate.slope = 10
+surrogate.subthreshold_scale = 0.2
+surrogate.scale = 2
+optimizer.kind = sgd
+optimizer.lr = 0.05
+optimizer.beta1 = 0.8
+optimizer.beta2 = 0.99
+optimizer.eps = 1e-6
+trainer.kind = online
+trainer.update_policy = per_step
+trainer.interval = 5
+trainer.feedback = random_fixed
+trainer.detach_reset = off
+trainer.sigma = 0.2
+trainer.trials = 7
+train.epochs = 3
+train.batch_size = 5
+train.seed = 11
+train.out_dir = runs/all
+stdp.a_plus = 0.5
+stdp.a_minus = -0.25
+stdp.tau_plus = 4
+stdp.tau_minus = 6
+stdp.w_min = -3
+stdp.w_max = 2
+stdp.pairing = nearest_neighbor
+stdp.window = 12
+spikeprop.tau = 2
+spikeprop.theta = 1.5
+spikeprop.t_end = 9
+spikeprop.dt_fine = 0.001
+spikeprop.target_correct = 1.25
+spikeprop.target_incorrect = 3.5
+"""
+        cfg = load_run_config(self.write(tmp_path, text))
+
+        def lif(theta0):
+            return LifParams(
+                beta=beta_from_tau(7.5), theta0=theta0, reset_mode=ResetMode.ZERO,
+                adapt_alpha=0.3, learn_beta=True,
+            )
+
+        self.assert_resolves_to(cfg, {
+            "trainer_kind": "online",
+            "layer_sizes": [4, 6, 2],
+            "lif_params": [lif(1.25), lif(0.75)],
+            "recurrent": [True, False],
+            "objective": ObjectiveSpec(
+                kind=ObjectiveKind.CE_SPIKE_RATE, inversion=Inversion.RECIPROCAL, f0=0.5, gamma=0.25,
+                count_target_correct=5.0, count_target_incorrect=1.0,
+                membrane_target_correct=1.5, membrane_target_incorrect=0.125,
+            ),
+            "regularizer": RegularizerSpec(
+                lambda_l1=0.01, lambda_upper=0.02, theta_upper=3.0, upper_exponent=1,
+                lambda_lower=0.03, theta_lower=0.5,
+            ),
+            "surrogate": SurrogateKind(SurrogateVariant.HYBRID_SPIKE, k=10.0, c=0.2, scale=2.0),
+            "feedback": Feedback.RANDOM_FIXED,
+            "detach_reset": False,
+            "optimizer": OptimizerState(OptimizerKind.SGD, lr=0.05, beta1=0.8, beta2=0.99, eps=1e-6),
+            "epochs": 3,
+            "batch_size": 5,
+            "seed": 11,
+            "out_dir": "runs/all",
+            "update_policy": UpdatePolicy(interval=5),
+            "stdp": StdpParams(
+                a_plus=0.5, a_minus=-0.25, tau_plus=4.0, tau_minus=6.0, w_min=-3.0, w_max=2.0,
+                pairing=Pairing.NEAREST_NEIGHBOR, window=12.0,
+            ),
+            "perturb_sigma": 0.2,
+            "perturb_trials": 7,
+            "spikeprop": SpikePropCfg(
+                tau=2.0, theta=1.5, t_end=9.0, dt_fine=0.001, target_correct=1.25, target_incorrect=3.5
+            ),
+        })

@@ -163,6 +163,34 @@ class TestPerturbationTrain:
         with pytest.raises(ValueError):
             perturbation_train(model, ds, sigma=-0.1, trials=5, objective=obj)
 
+    def test_non_finite_initial_loss_raises(self):
+        model, ds, obj = _teacher_problem(3, 2, seed=4)
+        w0 = model[0].w.copy()
+        obj = ObjectiveSpec(ObjectiveKind.MSE_MEMBRANE, membrane_target_correct=float("inf"))
+        labelled = [(x, 0) for x, _ in ds]
+        with pytest.raises(ValueError, match="^non-finite loss inf before trial 0$"):
+            perturbation_train(model, labelled, sigma=0.1, trials=5, objective=obj)
+        assert np.array_equal(model[0].w, w0)
+
+    def test_non_finite_trial_loss_raises_with_last_accepted_weights(self, monkeypatch):
+        import spikegrad.plasticity as plasticity
+
+        model, ds, obj = _teacher_problem(4, 2, seed=2)
+        probe = [SnnLayer(w=model[0].w.copy(), lif=model[0].lif)]
+        hist = perturbation_train(probe, ds, sigma=0.05, trials=3, objective=obj, seed=3)
+        assert any(acc for _, _, acc in hist.rows)
+        real = plasticity._dataset_loss
+        calls = []
+
+        def nan_at_trial_3(model, samples, objective):
+            calls.append(None)  # call 1 is the loss before trial 0
+            return float("nan") if len(calls) == 5 else real(model, samples, objective)
+
+        monkeypatch.setattr(plasticity, "_dataset_loss", nan_at_trial_3)
+        with pytest.raises(ValueError, match="^non-finite loss nan at trial 3$"):
+            perturbation_train(model, ds, sigma=0.05, trials=5, objective=obj, seed=3)
+        assert np.array_equal(model[0].w, probe[0].w)
+
 
 class TestStdpParamsValidation:
     def test_tau_positive(self):
@@ -172,3 +200,31 @@ class TestStdpParamsValidation:
     def test_clamp_ordering(self):
         with pytest.raises(ValueError):
             StdpParams(w_min=1.0, w_max=0.0)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("a_plus", math.inf, "a_plus must be finite"),
+            ("a_plus", math.nan, "a_plus must be finite"),
+            ("a_minus", -math.inf, "a_minus must be finite"),
+            ("a_minus", math.nan, "a_minus must be finite"),
+            ("tau_plus", math.nan, "tau_plus must be finite and positive"),
+            ("tau_plus", math.inf, "tau_plus must be finite and positive"),
+            ("tau_minus", math.nan, "tau_minus must be finite and positive"),
+            ("tau_minus", -1.0, "tau_minus must be finite and positive"),
+            ("w_min", math.nan, "w_min must not be NaN"),
+            ("w_max", math.nan, "w_max must not be NaN"),
+            ("window", math.nan, "window must not be NaN"),
+        ],
+    )
+    def test_values_that_break_the_rule_are_named(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            StdpParams(**{field: value})
+
+    def test_infinite_window_and_bounds_stay_valid(self):
+        p = StdpParams(w_min=-math.inf, w_max=math.inf, window=math.inf)
+        pre = np.zeros((6, 1))
+        post = np.zeros((6, 1))
+        pre[1, 0] = post[3, 0] = 1.0
+        out = stdp_update(SpikeRaster(pre), SpikeRaster(post), np.zeros((1, 1)), p)
+        assert out[0, 0] == pytest.approx(0.01 * math.exp(-2 / 20), rel=1e-12)

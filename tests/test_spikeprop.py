@@ -295,6 +295,16 @@ class TestTrainSpikeProp:
             with pytest.raises(ValueError, match="input 1 has a non-finite spike time"):
                 train_spikeprop(net, [([presyn[0], [bad]], target)], lr=0.01, epochs=1)
 
+    def test_non_finite_spike_in_a_later_sample_raises_before_any_update(self):
+        net, ds = self._two_output_run()
+        presyn, targets = ds[0]
+        w0, theta0 = net.w.copy(), net.theta.copy()
+        bad = ([presyn[0], [0.5, float("nan")]], targets)
+        with pytest.raises(ValueError, match="^sample 2: input 1 has a non-finite spike time"):
+            train_spikeprop(net, ds + [bad], lr=0.01, epochs=1)
+        assert np.array_equal(net.w, w0)
+        assert np.array_equal(net.theta, theta0)
+
 
 class TestSrmNetValidation:
     def test_dt_fine_bound(self):
