@@ -427,38 +427,37 @@ class TrainHistory:
         return self.rows[-1].accuracy
 
 
+def _trained(layer: SnnLayer) -> tuple[str, ...]:
+    """The parameters training updates, in optimizer order: w, v when set, beta when learned."""
+    return ("w",) + ("v",) * (layer.v is not None) + ("beta",) * layer.lif.learn_beta
+
+
+def _w_only(model: list[SnnLayer], trainer: str) -> None:
+    """Refuse a model with a trained parameter besides w, naming the layer and the parameter."""
+    for l, layer in enumerate(model):
+        extra = " and ".join(_trained(layer)[1:])
+        if extra:
+            raise ValueError(f"{trainer} trains w only, but layer {l} also trains {extra}")
+
+
 def _collect_params(model: list[SnnLayer]) -> list[np.ndarray]:
-    params = []
-    for layer in model:
-        params.append(layer.w)
-        if layer.v is not None:
-            params.append(layer.v)
-        if layer.lif.learn_beta:
-            params.append(np.array(layer.lif.beta))
-    return params
+    return [np.asarray(getattr(layer.lif if n == "beta" else layer, n)) for layer in model for n in _trained(layer)]
 
 
 def _collect_grads(model: list[SnnLayer], layer_grads: list[LayerGrads]) -> list[np.ndarray]:
-    grads = []
-    for layer, lg in zip(model, layer_grads):
-        grads.append(lg.d_w)
-        if layer.v is not None:
-            grads.append(lg.d_v)
-        if layer.lif.learn_beta:
-            grads.append(np.array(lg.d_beta))
-    return grads
+    return [np.asarray(getattr(lg, "d_" + n)) for layer, lg in zip(model, layer_grads) for n in _trained(layer)]
 
 
 def _assign_params(model: list[SnnLayer], params: list[np.ndarray]) -> None:
     it = iter(params)
     for layer in model:
-        layer.w = next(it)
-        if layer.v is not None:
-            layer.v = next(it)
-        if layer.lif.learn_beta:
-            # beta > 1 puts the temporal gradient in the exploding regime
-            beta = float(np.clip(next(it), 1e-9, 1.0))
-            layer.lif = dataclasses.replace(layer.lif, beta=beta)
+        for name in _trained(layer):
+            if name == "beta":
+                # beta > 1 puts the temporal gradient in the exploding regime
+                beta = float(np.clip(next(it), 1e-9, 1.0))
+                layer.lif = dataclasses.replace(layer.lif, beta=beta)
+            else:
+                setattr(layer, name, next(it))
 
 
 def _accuracy(preds, targets) -> float:

@@ -26,6 +26,7 @@ import numpy as np
 from .bptt import (
     EpochStats,
     _accuracy,
+    _w_only,
     Feedback,
     TrainHistory,
     forward,
@@ -141,7 +142,8 @@ def _train_online_dataset(cfg: RunConfig, model):
 
 
 def _train_stdp_dataset(cfg: RunConfig, model):
-    """Unsupervised pairing-rule pass; the loss column records mean |dW|."""
+    """Unsupervised pairing-rule pass on every layer; the loss column sums the layers' mean |dW|."""
+    _w_only(model, "stdp")
     history = TrainHistory()
     for epoch in range(cfg.epochs):
         delta = 0.0
@@ -149,17 +151,11 @@ def _train_stdp_dataset(cfg: RunConfig, model):
         for x, _ in cfg.dataset.samples:
             record = forward(model, x)
             total_spikes += sum(float(tr.s.sum()) for tr in record.traces)
-            w_new = stdp_update(record.traces[0].x, record.traces[0].s, model[0].w, cfg.stdp)
-            delta += float(np.abs(w_new - model[0].w).mean())
-            model[0].w = w_new
-        history.rows.append(
-            EpochStats(
-                epoch=epoch,
-                loss=delta / len(cfg.dataset.samples),
-                accuracy=float("nan"),
-                total_spikes=total_spikes,
-            )
-        )
+            for layer, tr in zip(model, record.traces):
+                w_new = stdp_update(tr.x, tr.s, layer.w, cfg.stdp)
+                delta += float(np.abs(w_new - layer.w).mean())
+                layer.w = w_new
+        history.rows.append(EpochStats(epoch, delta / len(cfg.dataset.samples), float("nan"), total_spikes))
     return history
 
 
@@ -303,6 +299,8 @@ def cmd_stdp_demo(args) -> int:
     params = _stdp_params(keys)
     out_dir = keys.str("train.out_dir", ".")
     keys.reject_unknown()
+    if not np.isfinite(params.window):
+        raise ConfigError(f"config key 'stdp.window': stdp-demo needs a finite window, got {params.window}")
     os.makedirs(out_dir, exist_ok=True)
     out_path = os.path.join(out_dir, "stdp_curve.csv")
 

@@ -246,9 +246,20 @@ def _per_layer(values, n_layers: int, key: str):
     return values
 
 
+def _in_section(section: str, build, **kwargs):
+    """Call build(**kwargs), turning a range error it raises into a ConfigError naming the section."""
+    try:
+        return build(**kwargs)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"config key '{section}.*': {exc}") from exc
+
+
 def _stdp_params(keys: _Keys) -> StdpParams:
     """The pairing-rule settings, shared by training runs and ``stdp-demo``."""
-    return StdpParams(
+    return _in_section(
+        "stdp", StdpParams,
         w_min=keys.float("stdp.w_min", -1.0),
         w_max=keys.float("stdp.w_max", 1.0),
         **keys.given(
@@ -292,13 +303,12 @@ def load_run_config(path) -> RunConfig:
     )
     rec_list = keys.int_list("model.recurrent")
     recurrent = [bool(r) for r in (_per_layer(rec_list, n_layers, "model.recurrent") or [0] * n_layers)]
-    try:
-        lif_params = [
-            LifParams(beta=betas[l], **lif_kw, **({} if thetas is None else {"theta0": thetas[l]}))
-            for l in range(n_layers)
-        ]
-    except ValueError as exc:
-        raise ConfigError(f"config key 'model.*': {exc}") from exc
+    lif_params = [
+        _in_section(
+            "model", LifParams, beta=betas[l], **lif_kw, **({} if thetas is None else {"theta0": thetas[l]})
+        )
+        for l in range(n_layers)
+    ]
 
     objective = ObjectiveSpec(
         kind=keys.choice("objective.kind", ObjectiveKind, required=True),
@@ -313,21 +323,20 @@ def load_run_config(path) -> RunConfig:
         ),
     )
 
-    try:
-        regularizer = RegularizerSpec(
-            **keys.given(
-                lambda_l1=("reg.lambda_l1", float),
-                lambda_upper=("reg.lambda_upper", float),
-                theta_upper=("reg.theta_upper", float),
-                upper_exponent=("reg.upper_exponent", int),
-                lambda_lower=("reg.lambda_lower", float),
-                theta_lower=("reg.theta_lower", float),
-            )
-        )
-    except ValueError as exc:
-        raise ConfigError(f"config key 'reg.*': {exc}") from exc
+    regularizer = _in_section(
+        "reg", RegularizerSpec,
+        **keys.given(
+            lambda_l1=("reg.lambda_l1", float),
+            lambda_upper=("reg.lambda_upper", float),
+            theta_upper=("reg.theta_upper", float),
+            upper_exponent=("reg.upper_exponent", int),
+            lambda_lower=("reg.lambda_lower", float),
+            theta_lower=("reg.theta_lower", float),
+        ),
+    )
 
-    surrogate = SurrogateKind(
+    surrogate = _in_section(
+        "surrogate", SurrogateKind,
         variant=keys.choice(
             "surrogate.kind",
             {v.value: v for v in SurrogateVariant if v is not SurrogateVariant.SIGMOID_EXACT},
@@ -340,7 +349,8 @@ def load_run_config(path) -> RunConfig:
         ),
     )
 
-    optimizer = OptimizerState(
+    optimizer = _in_section(
+        "optimizer", OptimizerState,
         kind=keys.choice("optimizer.kind", OptimizerKind, default=OptimizerKind.ADAM),
         lr=keys.float("optimizer.lr", 1e-3),
         **keys.given(
@@ -354,7 +364,7 @@ def load_run_config(path) -> RunConfig:
     if policy_name == "deferred":
         policy = UpdatePolicy.deferred()
     elif policy_name == "per_step":
-        policy = UpdatePolicy.per_step(**keys.given(interval=("trainer.interval", int)))
+        policy = _in_section("trainer", UpdatePolicy.per_step, **keys.given(interval=("trainer.interval", int)))
     else:
         raise ConfigError(
             f"config key 'trainer.update_policy': unknown value {policy_name!r}"

@@ -18,11 +18,11 @@ reused verbatim by the acceptance tests:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bptt import Feedback, OutputGrads, SnnLayer, backward, forward
+from .bptt import Feedback, OutputGrads, SnnLayer, _trained, backward, forward
 from .neuron import LifParams, LifState, ResetMode, lif_step
 from .objectives import ce_spike_rate, mse_membrane
 from .online import InfluenceState, influence_step, online_grad
@@ -154,31 +154,18 @@ def run_relaxed_fd(seed: int = 0, n_cases: int = 20, eps: float = 1e-5) -> list[
             return (lp - lm) / (2.0 * eps)
 
         for l, layer in enumerate(model):
-            for idx in np.ndindex(layer.w.shape):
-                analytic.append(grads[l].d_w[idx])
-                numeric.append(
-                    fd_at(
-                        lambda: layer.w[idx],
-                        lambda v, idx=idx, layer=layer: layer.w.__setitem__(idx, v),
-                    )
-                )
-            if layer.v is not None:
-                for idx in np.ndindex(layer.v.shape):
-                    analytic.append(grads[l].d_v[idx])
-                    numeric.append(
-                        fd_at(
-                            lambda: layer.v[idx],
-                            lambda v, idx=idx, layer=layer: layer.v.__setitem__(idx, v),
-                        )
-                    )
-            if layer.lif.learn_beta:
-                import dataclasses as _dc
+            for name in _trained(layer):
+                if name == "beta":
+                    def set_beta(v, layer=layer):
+                        layer.lif = replace(layer.lif, beta=v)
 
-                def set_beta(v, layer=layer):
-                    layer.lif = _dc.replace(layer.lif, beta=v)
-
-                analytic.append(grads[l].d_beta)
-                numeric.append(fd_at(lambda layer=layer: layer.lif.beta, set_beta))
+                    analytic.append(grads[l].d_beta)
+                    numeric.append(fd_at(lambda layer=layer: layer.lif.beta, set_beta))
+                    continue
+                param, grad = getattr(layer, name), getattr(grads[l], "d_" + name)
+                for idx in np.ndindex(param.shape):
+                    analytic.append(grad[idx])
+                    numeric.append(fd_at(lambda: param[idx], lambda v, idx=idx: param.__setitem__(idx, v)))
 
         err = max_rel_err(np.array(analytic), np.array(numeric), floor_frac=1e-3)
         results.append(CaseResult(f"relaxed-fd[{case}]", err, 1e-5))

@@ -9,8 +9,10 @@ obeys the one-step recursion
     m[t] = beta * m[t-1] + x[t]
 
 and the instantaneous weight gradient is the product of the per-step
-credit assignment cbar[t] = dL[t]/dU[t] with m[t].  Summed over the
-sequence this equals the BPTT gradient exactly for a single weight layer
+credit assignment cbar[t] = dL[t]/dU[t] with m[t].  Under the zero reset a
+spike of neuron j at t-1 zeroes U_j[t], so row j is gated by 1 - s_j[t-1].
+Summed over the sequence this equals the BPTT gradient exactly for a
+single weight layer, for every reset mode and with threshold adaptation
 (reset pathway excluded on both sides); for deeper stacks the hidden
 layers receive only the instantaneous spatial adjoint (cross-layer
 temporal dependencies are truncated, eligibility-trace style), so the
@@ -28,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bptt import LayerGrads, OptimizerState, SnnLayer, _non_finite, optimizer_step
-from .neuron import LifParams, LifState, lif_step
+from .bptt import _assign_params, _collect_grads, _collect_params, _w_only
+from .neuron import LifState, ResetMode, lif_step
 from .objectives import ObjectiveKind, ObjectiveSpec, _square_error
 from .surrogate import DEFAULT_SURROGATE, SurrogateKind, surrogate_grad
 
@@ -134,7 +137,6 @@ def train_online(
     surrogate: SurrogateKind = DEFAULT_SURROGATE,
     update_policy: UpdatePolicy | None = None,
     optimizer: OptimizerState | None = None,
-    seed: int = 0,
 ) -> OnlineHistory:
     """Train on a single stream of (input step, target step) pairs, in place.
 
@@ -144,10 +146,13 @@ def train_online(
     flush).  The stream may be any iterable: nothing is read ahead and no
     trace is stored.
 
-    Before each update, a non-finite pending loss or gradient raises
-    ``ValueError`` naming the layer and the stream step of the update
-    (counted from 1, as in the history rows); the weights stay untouched.
+    Only w is trained: a layer with ``v`` or a learned beta raises
+    ``ValueError`` naming it.  Before each update, a non-finite pending loss
+    or gradient raises ``ValueError`` naming the layer and the stream step
+    of the update (counted from 1, as in the history rows); the weights stay
+    untouched.
     """
+    _w_only(model, "train_online")
     if update_policy is None:
         update_policy = UpdatePolicy.deferred()
     if optimizer is None:
@@ -163,14 +168,12 @@ def train_online(
 
     def apply_update(step_idx: int) -> None:
         nonlocal pending_loss, pending_steps
-        bad = _non_finite(pending_loss, [LayerGrads(d_w=inf.grad_acc) for inf in influences])
+        grads = [LayerGrads(d_w=inf.grad_acc) for inf in influences]
+        bad = _non_finite(pending_loss, grads)
         if bad is not None:
             raise ValueError(f"non-finite {bad} at the update after stream step {step_idx}")
-        params = [layer.w for layer in model]
-        grads = [inf.grad_acc for inf in influences]
-        new_params = optimizer_step(params, grads, optimizer)
-        for layer, w in zip(model, new_params):
-            layer.w = w
+        new_params = optimizer_step(_collect_params(model), _collect_grads(model, grads), optimizer)
+        _assign_params(model, new_params)
         for inf in influences:
             inf.grad_acc = np.zeros_like(inf.grad_acc)
         history.rows.append((step_idx, pending_loss / max(pending_steps, 1)))
@@ -178,31 +181,28 @@ def train_online(
         pending_steps = 0
 
     for x_t, y_t in stream:
-        x_t = np.asarray(x_t, dtype=np.float64)
         n_steps += 1
 
-        # forward one step through the stack, tracking per-layer inputs
-        layer_inputs = []
+        # forward one step through the stack, advancing each layer's influence; the
+        # spikes were tested against theta0 + b from before lif_step adds them to b
+        layer_theta = []
         layer_u = []
         layer_s = []
-        x = x_t
+        x = np.asarray(x_t, dtype=np.float64)
         for l, layer in enumerate(model):
-            current = layer.w @ x
-            if layer.v is not None:
-                current += layer.v @ states[l].s_prev
-            layer_inputs.append(x)
-            states[l], spikes = lif_step(states[l], layer.lif, current)
+            influences[l] = influence_step(influences[l], layer.lif.beta, x)
+            if layer.lif.reset_mode is ResetMode.ZERO:
+                # a spike at t-1 zeroes U[t], and with it every row's influence
+                influences[l].m *= (1.0 - states[l].s_prev)[:, None]
+            layer_theta.append(layer.lif.theta0 + states[l].b)
+            states[l], spikes = lif_step(states[l], layer.lif, layer.w @ x)
             layer_u.append(states[l].u)
             layer_s.append(spikes)
             x = spikes
 
-        for l, layer in enumerate(model):
-            influences[l] = influence_step(influences[l], layer.lif.beta, layer_inputs[l])
-
         out = len(model) - 1
-        theta_out = model[out].lif.theta0 + states[out].b
         loss, cbar = _step_credit(
-            objective, layer_u[out], layer_s[out], y_t, surrogate, theta_out
+            objective, layer_u[out], layer_s[out], y_t, surrogate, layer_theta[out]
         )
         pending_loss += loss
         pending_steps += 1
@@ -212,9 +212,8 @@ def train_online(
         for l in range(out, -1, -1):
             influences[l].grad_acc += online_grad(cbar, influences[l])
             if l > 0:
-                theta_h = model[l - 1].lif.theta0 + states[l - 1].b
                 cbar = (model[l].w.T @ cbar) * surrogate_grad(
-                    surrogate, layer_u[l - 1], theta_h, layer_s[l - 1]
+                    surrogate, layer_u[l - 1], layer_theta[l - 1], layer_s[l - 1]
                 )
 
         if n_steps % update_policy.interval == 0:

@@ -7,11 +7,11 @@ anti-causal ones, each side an exponential in the spike-time gap:
     dW = A- * exp(-dt / tau-)  for dt > 0
     dW = 0                     at dt = 0 (the piecewise form is undefined there)
 
-Weight perturbation needs no gradient at all: jiggle every weight with
-Gaussian noise, keep the change if the loss improved.  Its accept rate
-collapses as the weight count grows, since any single helpful nudge is
-drowned by the noise on all the others; the baseline exists to demonstrate
-exactly that.
+Weight perturbation needs no gradient at all: jiggle every trained
+parameter with Gaussian noise, keep the change if the loss improved.  Its
+accept rate collapses as the weight count grows, since any single helpful
+nudge is drowned by the noise on all the others; the baseline exists to
+demonstrate exactly that.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bptt import SnnLayer, forward
+from .bptt import SnnLayer, _assign_params, _collect_params, forward
 from .neuron import _as_matrix
 from .objectives import ObjectiveSpec, eval_objective
 
@@ -166,13 +166,15 @@ def perturbation_train(
     objective: ObjectiveSpec,
     seed: int = 0,
 ) -> PerturbationHistory:
-    """Accept/reject random Gaussian weight perturbations, in place.
+    """Accept/reject random Gaussian parameter perturbations, in place.
 
-    Each trial perturbs every weight matrix at once by N(0, sigma), keeps
-    the perturbation if the dataset loss strictly decreased, and reverts
-    otherwise.  The recorded loss is therefore non-increasing (and constant
-    in the degenerate sigma = 0 case).  A non-finite dataset loss raises
-    ValueError naming the trial, with the weights of the last accepted trial.
+    Each trial perturbs every trained parameter at once by N(0, sigma) (w,
+    plus v when set and beta when learned, beta clipped to [1e-9, 1] as in
+    BPTT), keeps the perturbation if the dataset loss strictly decreased,
+    and reverts otherwise.  The recorded loss is therefore non-increasing
+    (and constant in the degenerate sigma = 0 case).  A non-finite dataset
+    loss raises ValueError naming the trial, with the parameters of the last
+    accepted trial.
     """
     if sigma < 0.0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
@@ -185,9 +187,8 @@ def perturbation_train(
         raise ValueError(f"non-finite loss {best} before trial 0")
     history = PerturbationHistory()
     for trial in range(trials):
-        saved = [layer.w for layer in model]
-        for layer in model:
-            layer.w = layer.w + rng.normal(0.0, sigma, size=layer.w.shape)
+        saved = _collect_params(model)
+        _assign_params(model, [p + rng.normal(0.0, sigma, size=p.shape) for p in saved])
         candidate = _dataset_loss(model, samples, objective)
         if candidate < best:
             best = candidate
@@ -195,8 +196,7 @@ def perturbation_train(
         else:
             # restore the saved arrays: subtracting the noise again is not
             # bit-exact, and the kept model must be the one that scored best
-            for layer, w in zip(model, saved):
-                layer.w = w
+            _assign_params(model, saved)
             if not math.isfinite(candidate):
                 raise ValueError(f"non-finite loss {candidate} at trial {trial}")
             history.rows.append((trial, best, False))

@@ -187,7 +187,39 @@ objective.kind = mse_spike_time
     def test_infinite_stdp_amplitude_is_an_error(self, tmp_path, capsys):
         cfg, out = write_config(tmp_path, STDP_CONFIG + "stdp.a_plus = inf\n")
         assert main(["train", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err == "error: a_plus must be finite, got inf\n"
+        assert capsys.readouterr().err == "error: config key 'stdp.*': a_plus must be finite, got inf\n"
+        assert not (out / "history.csv").exists()
+
+    @pytest.mark.parametrize("extra, message", [
+        ("surrogate.slope = -1\n", "config key 'surrogate.*': slope k must be positive, got -1.0"),
+        ("optimizer.beta1 = 1.5\n", "config key 'optimizer.*': Adam betas must lie in [0, 1)"),
+        ("trainer.update_policy = per_step\ntrainer.interval = 0\n",
+         "config key 'trainer.*': interval must be >= 1, got 0"),
+        ("reg.lambda_l1 = abc\n", "config key 'reg.lambda_l1': expected a number, got 'abc'"),
+    ], ids=["surrogate.slope", "optimizer.beta1", "trainer.interval", "reg.lambda_l1"])
+    def test_range_error_names_its_config_section(self, tmp_path, capsys, extra, message):
+        cfg, out = write_config(tmp_path, RATE_CONFIG + extra)
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "history.csv").exists()
+
+    def test_stdp_trains_every_layer(self, tmp_path):
+        from spikegrad.bptt import load_checkpoint
+        from spikegrad.config import load_run_config
+
+        cfg, out = write_config(tmp_path, STDP_CONFIG.replace("model.layers = 4,3", "model.layers = 4,5,3"))
+        assert main(["train", "--config", str(cfg)]) == 0
+        run = load_run_config(cfg)
+        initial = run.build_model(np.random.default_rng(run.seed))
+        trained = load_checkpoint(out / "checkpoint.txt")
+        assert [layer.w.shape for layer in trained] == [(5, 4), (3, 5)]
+        for before, after in zip(initial, trained):
+            assert not np.array_equal(before.w, after.w)
+
+    def test_stdp_refuses_a_recurrent_layer(self, tmp_path, capsys):
+        cfg, out = write_config(tmp_path, STDP_CONFIG + "model.recurrent = 1\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: stdp trains w only, but layer 0 also trains v\n"
         assert not (out / "history.csv").exists()
 
     def test_non_finite_perturbation_loss_is_an_error(self, tmp_path, capsys):
@@ -293,6 +325,13 @@ class TestStdpDemoCommand:
         assert np.all(causal > 0) and np.all(anti < 0)
         at_zero = data[data[:, 0] == 0, 1]
         assert at_zero[0] == 0.0
+
+    def test_infinite_window_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(f"stdp.window = inf\ntrain.out_dir = {tmp_path / 'demo_out'}\n")
+        assert main(["stdp-demo", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: config key 'stdp.window': stdp-demo needs a finite window, got inf\n"
+        assert not (tmp_path / "demo_out").exists()
 
     def test_bad_number_names_its_key(self, tmp_path, capsys):
         cfg = tmp_path / "demo.cfg"

@@ -13,6 +13,7 @@ from spikegrad.online import (
     online_grad,
     train_online,
 )
+from spikegrad.surrogate import SurrogateKind
 
 
 class TestInfluenceStep:
@@ -191,3 +192,56 @@ class TestTrainOnline:
             train_online([layer], zip(x, y), obj,
                          update_policy=UpdatePolicy.per_step(10), optimizer=OptimizerState.sgd(1e-3))
         assert np.array_equal(layer.w, clean_half.w)
+
+    @pytest.mark.parametrize("recurrent, learn_beta, name", [(True, False, "v"), (False, True, "beta")])
+    def test_v_and_learned_beta_are_refused_by_name(self, recurrent, learn_beta, name):
+        rng = np.random.default_rng(12)
+        hidden = SnnLayer.init(4, 6, LifParams(beta=0.9, theta0=0.6), rng)
+        out = SnnLayer.init(6, 2, LifParams(beta=0.9, theta0=0.6, learn_beta=learn_beta), rng, recurrent=recurrent)
+        w0 = [hidden.w.copy(), out.w.copy()]
+        x = (rng.random((10, 4)) < 0.5).astype(float)
+        y = np.tile([1.0, 0.0], (10, 1))
+        with pytest.raises(ValueError, match=f"^train_online trains w only, but layer 1 also trains {name}$"):
+            train_online([hidden, out], zip(x, y), ObjectiveSpec(ObjectiveKind.MSE_SPIKE_RATE),
+                         optimizer=OptimizerState.sgd(1e-2))
+        assert np.array_equal(hidden.w, w0[0]) and np.array_equal(out.w, w0[1])
+
+
+def _online_vs_bptt_error(seed, reset_mode, adapt_alpha, kind):
+    """Relative gap between one deferred online SGD step (lr 1) and BPTT's detached-reset gradient.
+
+    One layer, 5 -> 3, T = 30, per-step loss, fast sigmoid surrogate with k = 5.
+    """
+    rng = np.random.default_rng(seed)
+    lif = LifParams(beta=0.85, theta0=0.8, reset_mode=reset_mode, adapt_alpha=adapt_alpha)
+    w0 = rng.normal(0, 1.5 / np.sqrt(5), size=(3, 5))
+    x = (rng.random((30, 5)) < 0.5).astype(float)
+    surrogate = SurrogateKind.fast_sigmoid(k=5.0)
+    record = forward([SnnLayer(w=w0, lif=lif)], x)
+    if kind is ObjectiveKind.MSE_SPIKE_RATE:
+        y = (rng.random((30, 3)) < 0.5).astype(float)
+        out = OutputGrads(d_spikes=-2.0 * (y - record.output_spikes()))
+    else:
+        y = rng.normal(0, 1, size=(30, 3))
+        out = OutputGrads(d_membrane=-2.0 * (y - record.output_membrane()))
+    g = backward(record, out, surrogate=surrogate, detach_reset=True)[0].d_w
+    layer = SnnLayer(w=w0.copy(), lif=lif)
+    train_online([layer], zip(x, y), ObjectiveSpec(kind), surrogate=surrogate,
+                 update_policy=UpdatePolicy.deferred(), optimizer=OptimizerState.sgd(1.0))
+    return np.max(np.abs((w0 - layer.w) - g)) / np.max(np.abs(g))
+
+
+class TestOnlineEqualsBptt:
+    """On one layer the deferred online gradient is BPTT's with the reset pathway detached."""
+
+    @pytest.mark.parametrize("reset_mode", list(ResetMode))
+    def test_every_reset_mode(self, reset_mode):
+        errs = [_online_vs_bptt_error(seed, reset_mode, 0.0, ObjectiveKind.MSE_MEMBRANE) for seed in range(10)]
+        assert max(errs) < 1e-9
+
+    @pytest.mark.parametrize("reset_mode", list(ResetMode))
+    def test_spike_loss_under_threshold_adaptation(self, reset_mode):
+        # the surrogate must see the threshold the spike was tested against,
+        # theta0 + b from before this step's spike is added to b
+        errs = [_online_vs_bptt_error(seed, reset_mode, 0.6, ObjectiveKind.MSE_SPIKE_RATE) for seed in range(10)]
+        assert max(errs) < 1e-9

@@ -1,5 +1,6 @@
 """Unit tests for STDP updates and the perturbation baseline."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -157,6 +158,26 @@ class TestPerturbationTrain:
         hist = perturbation_train(model, ds, sigma=0.5, trials=1, objective=obj, seed=0)
         assert hist.rows[0][2] is False  # the trial was rejected
         assert np.array_equal(model[0].w, w0)
+
+    def test_v_and_learned_beta_are_perturbed_and_restored(self):
+        def with_v_and_beta():
+            model, ds, obj = _teacher_problem(4, 2, seed=2)
+            lif = dataclasses.replace(model[0].lif, learn_beta=True)
+            return [SnnLayer(w=model[0].w, lif=lif, v=np.zeros((2, 2)))], ds, obj
+
+        model, ds, obj = with_v_and_beta()
+        hist = perturbation_train(model, ds, sigma=0.05, trials=1, objective=obj, seed=0)
+        assert hist.rows[0][2] is True  # accepted: every trained parameter moved
+        assert not np.array_equal(model[0].v, np.zeros((2, 2)))
+        assert model[0].lif.beta != 0.9
+
+        model, ds, obj = with_v_and_beta()
+        w0 = model[0].w.copy()
+        hist = perturbation_train(model, ds, sigma=0.05, trials=1, objective=obj, seed=2)
+        assert hist.rows[0][2] is False  # rejected: every trained parameter restored
+        assert np.array_equal(model[0].w, w0)
+        assert np.array_equal(model[0].v, np.zeros((2, 2)))
+        assert model[0].lif.beta == 0.9
 
     def test_negative_sigma_rejected(self):
         model, ds, obj = _teacher_problem(3, 2, seed=4)
