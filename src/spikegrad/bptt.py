@@ -26,6 +26,7 @@ import numpy as np
 from .neuron import LifParams, ResetMode, SpikeRaster, _as_matrix, lif_scan
 from .objectives import ObjectiveSpec, RegularizerSpec, eval_objective, predict_class, regularize
 from .surrogate import DEFAULT_SURROGATE, SurrogateKind
+from .tasks import _samples
 
 __all__ = [
     "Feedback",
@@ -127,10 +128,6 @@ class ForwardRecord:
     layers: list[SnnLayer]
     traces: list[_LayerTrace]
     relaxed_slope: float | None = None
-
-    @property
-    def input(self) -> np.ndarray:
-        return self.traces[0].x
 
     @property
     def t_steps(self) -> int:
@@ -422,10 +419,6 @@ class TrainHistory:
     def final_loss(self) -> float:
         return self.rows[-1].loss
 
-    @property
-    def final_accuracy(self) -> float:
-        return self.rows[-1].accuracy
-
 
 def _trained(layer: SnnLayer) -> tuple[str, ...]:
     """The parameters training updates, in optimizer order: w, v when set, beta when learned."""
@@ -490,13 +483,13 @@ def _sample_pass(model, sample, objective, reg, surrogate, feedback, detach_rese
     return loss, grads, pred, spikes
 
 
-def _non_finite(loss: float, layer_grads: list[LayerGrads]) -> str | None:
-    """Name the first NaN or inf among the loss and the parameter gradients, if any."""
+def _non_finite(model: list[SnnLayer], loss: float, layer_grads: list[LayerGrads]) -> str | None:
+    """Name the first NaN or inf among the loss and the trained parameters' gradients, if any."""
     if not np.isfinite(loss):
         return f"loss {loss}"
-    for l, lg in enumerate(layer_grads):
-        for name, g in (("w", lg.d_w), ("v", lg.d_v), ("beta", lg.d_beta)):
-            if g is not None and not np.isfinite(g).all():
+    for l, (layer, lg) in enumerate(zip(model, layer_grads)):
+        for name in _trained(layer):
+            if not np.isfinite(getattr(lg, "d_" + name)).all():
                 return f"gradient of layer {l} parameter {name}"
     return None
 
@@ -524,9 +517,7 @@ def train_bptt(
     A non-finite loss or gradient raises ValueError before the optimizer
     step, naming the epoch, batch, sample, layer and parameter (0-based).
     """
-    samples = dataset.samples if hasattr(dataset, "samples") else list(dataset)
-    if len(samples) == 0:
-        raise ValueError("dataset is empty")
+    samples = _samples(dataset)
     if optimizer is None:
         optimizer = OptimizerState.adam(lr=1e-3)
     rng = np.random.default_rng(seed)
@@ -544,7 +535,7 @@ def train_bptt(
                 loss, grads, pred, spikes = _sample_pass(
                     model, sample, objective, reg, surrogate, feedback, detach_reset
                 )
-                bad = _non_finite(loss, grads)
+                bad = _non_finite(model, loss, grads)
                 if bad is not None:
                     raise ValueError(
                         f"non-finite {bad} at epoch {epoch}, batch {start // batch_size}, "

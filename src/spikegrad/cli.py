@@ -38,7 +38,7 @@ from .codec import ClampMode, DeltaParams, LatencyParams, Polarity, delta_encode
 from .config import ConfigError, RunConfig, _Keys, _stdp_params, load_run_config, parse_config_file
 from .events import save_events
 from .gradcheck import SUITES
-from .neuron import SpikeRaster
+from .neuron import SpikeRaster, _as_matrix
 from .objectives import ObjectiveKind, ObjectiveSpec, predict_class
 from .online import train_online
 from .plasticity import perturbation_train, stdp_update
@@ -68,7 +68,7 @@ def _scored_epoch(cfg: RunConfig, model, epoch: int, loss: float) -> EpochStats:
 
 
 def _raster_to_times(raster, dt: float) -> list[np.ndarray]:
-    data = np.asarray(getattr(raster, "data", raster), dtype=np.float64)
+    data = _as_matrix(raster)
     return [np.nonzero(data[:, i])[0].astype(np.float64) * dt for i in range(data.shape[1])]
 
 
@@ -119,7 +119,6 @@ def _train_online_dataset(cfg: RunConfig, model):
     for epoch in range(cfg.epochs):
         losses = []
         for x, target in cfg.dataset.samples:
-            data = np.asarray(getattr(x, "data", x), dtype=np.float64)
             if cfg.objective.kind is ObjectiveKind.MSE_SPIKE_RATE:
                 step_target = np.zeros(n_out)
                 step_target[int(target)] = 1.0
@@ -127,7 +126,7 @@ def _train_online_dataset(cfg: RunConfig, model):
                 step_target = np.full(n_out, cfg.objective.membrane_target_incorrect)
                 mt = cfg.objective.membrane_target_correct
                 step_target[int(target)] = mt if mt is not None else 1.0
-            stream = ((row, step_target) for row in data)
+            stream = ((row, step_target) for row in _as_matrix(x))
             h = train_online(
                 model,
                 stream,
@@ -136,7 +135,7 @@ def _train_online_dataset(cfg: RunConfig, model):
                 update_policy=cfg.update_policy,
                 optimizer=cfg.optimizer,
             )
-            losses.append(h.rows[-1][1])
+            losses.append(h.final_loss)
         history.rows.append(_scored_epoch(cfg, model, epoch, float(np.mean(losses))))
     return history
 

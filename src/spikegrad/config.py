@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bptt import Feedback, OptimizerKind, OptimizerState, SnnLayer
-from .neuron import LifParams, ResetMode, beta_from_tau
+from .neuron import LifParams, ResetMode, _as_matrix, beta_from_tau
 from .objectives import Inversion, ObjectiveKind, ObjectiveSpec, RegularizerSpec
 from .online import UpdatePolicy
 from .plasticity import Pairing, StdpParams
@@ -282,8 +282,7 @@ def load_run_config(path) -> RunConfig:
     layer_sizes = keys.int_list("model.layers", required=True)
     if len(layer_sizes) < 2:
         raise ConfigError("config key 'model.layers': need at least input and output sizes")
-    sample0 = dataset.samples[0][0]
-    n_features = np.asarray(getattr(sample0, "data", sample0)).shape[1]
+    n_features = _as_matrix(dataset.samples[0][0]).shape[1]
     if layer_sizes[0] != n_features:
         raise ConfigError(
             f"config key 'model.layers': first size {layer_sizes[0]} "

@@ -159,10 +159,6 @@ class LifState:
         """Nulled initial conditions (the default before any input arrives)."""
         return cls(u=np.zeros(n), b=np.zeros(n), s_prev=np.zeros(n))
 
-    @property
-    def n(self) -> int:
-        return self.u.shape[0]
-
 
 def beta_from_tau(tau: float, dt: float = 1.0) -> float:
     """Membrane decay rate for a time constant ``tau`` sampled at step ``dt``.

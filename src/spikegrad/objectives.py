@@ -265,9 +265,7 @@ def regularize(layer_activity, spec: RegularizerSpec):
     """
     counts = []
     for act in layer_activity:
-        arr = np.asarray(
-            act.data if hasattr(act, "data") else act, dtype=np.float64
-        )
+        arr = np.asarray(act, dtype=np.float64)
         counts.append(arr.sum(axis=0) if arr.ndim == 2 else arr)
 
     penalty = 0.0

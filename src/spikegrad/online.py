@@ -169,14 +169,14 @@ def train_online(
     def apply_update(step_idx: int) -> None:
         nonlocal pending_loss, pending_steps
         grads = [LayerGrads(d_w=inf.grad_acc) for inf in influences]
-        bad = _non_finite(pending_loss, grads)
+        bad = _non_finite(model, pending_loss, grads)
         if bad is not None:
             raise ValueError(f"non-finite {bad} at the update after stream step {step_idx}")
         new_params = optimizer_step(_collect_params(model), _collect_grads(model, grads), optimizer)
         _assign_params(model, new_params)
         for inf in influences:
             inf.grad_acc = np.zeros_like(inf.grad_acc)
-        history.rows.append((step_idx, pending_loss / max(pending_steps, 1)))
+        history.rows.append((step_idx, pending_loss / pending_steps))
         pending_loss = 0.0
         pending_steps = 0
 
@@ -186,8 +186,6 @@ def train_online(
         # forward one step through the stack, advancing each layer's influence; the
         # spikes were tested against theta0 + b from before lif_step adds them to b
         layer_theta = []
-        layer_u = []
-        layer_s = []
         x = np.asarray(x_t, dtype=np.float64)
         for l, layer in enumerate(model):
             influences[l] = influence_step(influences[l], layer.lif.beta, x)
@@ -195,14 +193,11 @@ def train_online(
                 # a spike at t-1 zeroes U[t], and with it every row's influence
                 influences[l].m *= (1.0 - states[l].s_prev)[:, None]
             layer_theta.append(layer.lif.theta0 + states[l].b)
-            states[l], spikes = lif_step(states[l], layer.lif, layer.w @ x)
-            layer_u.append(states[l].u)
-            layer_s.append(spikes)
-            x = spikes
+            states[l], x = lif_step(states[l], layer.lif, layer.w @ x)
 
         out = len(model) - 1
         loss, cbar = _step_credit(
-            objective, layer_u[out], layer_s[out], y_t, surrogate, layer_theta[out]
+            objective, states[out].u, states[out].s_prev, y_t, surrogate, layer_theta[out]
         )
         pending_loss += loss
         pending_steps += 1
@@ -213,7 +208,7 @@ def train_online(
             influences[l].grad_acc += online_grad(cbar, influences[l])
             if l > 0:
                 cbar = (model[l].w.T @ cbar) * surrogate_grad(
-                    surrogate, layer_u[l - 1], layer_theta[l - 1], layer_s[l - 1]
+                    surrogate, states[l - 1].u, layer_theta[l - 1], states[l - 1].s_prev
                 )
 
         if n_steps % update_policy.interval == 0:

@@ -26,6 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .bptt import SnnLayer, _assign_params, _collect_params, forward
 from .neuron import _as_matrix
 from .objectives import ObjectiveSpec, eval_objective
+from .tasks import _samples
 
 __all__ = [
     "Pairing",
@@ -178,9 +179,7 @@ def perturbation_train(
     """
     if sigma < 0.0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    samples = dataset.samples if hasattr(dataset, "samples") else list(dataset)
-    if len(samples) == 0:
-        raise ValueError("dataset is empty")
+    samples = _samples(dataset)
     rng = np.random.default_rng(seed)
     best = _dataset_loss(model, samples, objective)
     if not math.isfinite(best):

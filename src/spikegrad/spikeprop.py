@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .objectives import _square_error
+from .tasks import _samples
 
 __all__ = [
     "SrmNet",
@@ -312,9 +313,7 @@ def train_spikeprop(
     before the first update, so a non-finite input spike time raises
     ``ValueError`` naming the sample and input before anything changes.
     """
-    samples = dataset.samples if hasattr(dataset, "samples") else list(dataset)
-    if len(samples) == 0:
-        raise ValueError("dataset is empty")
+    samples = _samples(dataset)
     if not (np.isfinite(lr) and lr >= 0.0):
         raise ValueError(f"lr must be finite and non-negative, got {lr}")
     if not 0.0 < dead_neuron_factor < 1.0:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .events import load_events
-from .neuron import SpikeRaster
+from .neuron import SpikeRaster, _as_matrix
 
 __all__ = ["Dataset", "gen_rate_task", "gen_latency_task", "load_event_dataset"]
 
@@ -27,12 +27,20 @@ class Dataset:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        shapes = {np.asarray(getattr(x, "data", x)).shape for x, _ in self.samples}
+        shapes = {_as_matrix(x).shape for x, _ in self.samples}
         if len(shapes) > 1:
             raise ValueError(f"samples are not uniformly shaped: {sorted(shapes)}")
 
     def __len__(self) -> int:
         return len(self.samples)
+
+
+def _samples(dataset) -> list:
+    """The samples of a Dataset, or of any other iterable of samples; raises when there are none."""
+    samples = dataset.samples if hasattr(dataset, "samples") else list(dataset)
+    if len(samples) == 0:
+        raise ValueError("dataset is empty")
+    return samples
 
 
 def gen_rate_task(
