@@ -518,6 +518,8 @@ def train_bptt(
     step, naming the epoch, batch, sample, layer and parameter (0-based).
     """
     samples = _samples(dataset)
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     if optimizer is None:
         optimizer = OptimizerState.adam(lr=1e-3)
     rng = np.random.default_rng(seed)

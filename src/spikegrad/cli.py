@@ -35,7 +35,7 @@ from .bptt import (
     train_bptt,
 )
 from .codec import ClampMode, DeltaParams, LatencyParams, Polarity, delta_encode, latency_encode, rate_encode
-from .config import ConfigError, RunConfig, _Keys, _stdp_params, load_run_config, parse_config_file
+from .config import ConfigError, RunConfig, _in_section, _Keys, _stdp_params, load_run_config, parse_config_file
 from .events import save_events
 from .gradcheck import SUITES
 from .neuron import SpikeRaster, _as_matrix
@@ -79,7 +79,8 @@ def _train_spikeprop(cfg: RunConfig) -> TrainHistory:
         raise ConfigError("config key 'model.layers': spikeprop uses a single weight layer")
     rng = np.random.default_rng(cfg.seed)
     n_in, n_out = cfg.layer_sizes
-    net = SrmNet(
+    net = _in_section(
+        "spikeprop", SrmNet,
         w=rng.uniform(0.5, 1.5, size=(n_out, n_in)) * (2.0 / n_in),
         tau=sp.tau,
         theta=sp.theta,

@@ -100,8 +100,11 @@ class _Keys:
         v = self._get(key, required)
         return default if v is None else v
 
-    def int(self, key: str, default=None, required: bool = False):
-        return self._convert(key, default, required, int, "an integer")
+    def int(self, key: str, default=None, required: bool = False, minimum: int | None = None):
+        v = self._convert(key, default, required, int, "an integer")
+        if minimum is not None and v < minimum:
+            raise ConfigError(f"config key '{key}': must be at least {minimum}, got {v}")
+        return v
 
     def float(self, key: str, default=None, required: bool = False):
         return self._convert(key, default, required, float, "a number")
@@ -246,14 +249,15 @@ def _per_layer(values, n_layers: int, key: str):
     return values
 
 
-def _in_section(section: str, build, **kwargs):
-    """Call build(**kwargs), turning a range error it raises into a ConfigError naming the section."""
+def _in_section(section: str, build, layer: int | None = None, **kwargs):
+    """Call build(**kwargs), turning a range error it raises into a ConfigError naming the section and any layer."""
     try:
         return build(**kwargs)
     except ConfigError:
         raise
     except ValueError as exc:
-        raise ConfigError(f"config key '{section}.*': {exc}") from exc
+        where = "" if layer is None else f", layer {layer}"
+        raise ConfigError(f"config key '{section}.*'{where}: {exc}") from exc
 
 
 def _stdp_params(keys: _Keys) -> StdpParams:
@@ -304,7 +308,7 @@ def load_run_config(path) -> RunConfig:
     recurrent = [bool(r) for r in (_per_layer(rec_list, n_layers, "model.recurrent") or [0] * n_layers)]
     lif_params = [
         _in_section(
-            "model", LifParams, beta=betas[l], **lif_kw, **({} if thetas is None else {"theta0": thetas[l]})
+            "model", LifParams, l, beta=betas[l], **lif_kw, **({} if thetas is None else {"theta0": thetas[l]})
         )
         for l in range(n_layers)
     ]
@@ -379,6 +383,10 @@ def load_run_config(path) -> RunConfig:
         target_incorrect=keys.float("spikeprop.target_incorrect", 3.0 * sp_tau),
     )
 
+    sigma = keys.float("trainer.sigma", 0.01)
+    if not (np.isfinite(sigma) and sigma >= 0.0):
+        raise ConfigError(f"config key 'trainer.sigma': must be finite and >= 0, got {sigma}")
+
     cfg = RunConfig(
         raw=raw,
         trainer_kind=keys.choice("trainer.kind", {k: k for k in TRAINER_KINDS}, default="bptt"),
@@ -392,14 +400,14 @@ def load_run_config(path) -> RunConfig:
         feedback=keys.choice("trainer.feedback", Feedback, default=Feedback.SYMMETRIC),
         detach_reset=keys.flag("trainer.detach_reset", True),
         optimizer=optimizer,
-        epochs=keys.int("train.epochs", 1),
-        batch_size=keys.int("train.batch_size", 32),
+        epochs=keys.int("train.epochs", 1, minimum=1),
+        batch_size=keys.int("train.batch_size", 32, minimum=1),
         seed=keys.int("train.seed", 0),
         out_dir=keys.str("train.out_dir", "."),
         update_policy=policy,
         stdp=_stdp_params(keys),
-        perturb_sigma=keys.float("trainer.sigma", 0.01),
-        perturb_trials=keys.int("trainer.trials", 100),
+        perturb_sigma=sigma,
+        perturb_trials=keys.int("trainer.trials", 100, minimum=1),
         spikeprop=spikeprop,
     )
     keys.reject_unknown()

@@ -177,8 +177,8 @@ def perturbation_train(
     loss raises ValueError naming the trial, with the parameters of the last
     accepted trial.
     """
-    if sigma < 0.0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     samples = _samples(dataset)
     rng = np.random.default_rng(seed)
     best = _dataset_loss(model, samples, objective)

@@ -374,6 +374,39 @@ class TestTrainBptt:
             )
         assert np.array_equal(model[0].w, w_before)
 
+    @pytest.mark.parametrize("name", ["v", "beta"])
+    def test_non_finite_gradient_names_v_and_beta(self, monkeypatch, name):
+        import spikegrad.bptt as bptt
+
+        rng = np.random.default_rng(0)
+        lif = LifParams(beta=0.9, learn_beta=True)
+        model = [SnnLayer.init(3, 4, lif, rng, recurrent=True), SnnLayer.init(4, 2, lif, rng)]
+        before = [(layer.w.copy(), None if layer.v is None else layer.v.copy(), layer.lif.beta) for layer in model]
+        real = bptt.backward
+
+        def poisoned(*args, **kwargs):
+            grads = real(*args, **kwargs)
+            if name == "v":
+                grads[0].d_v[1, 2] = np.inf
+            else:
+                grads[0].d_beta = np.nan
+            return grads
+
+        monkeypatch.setattr(bptt, "backward", poisoned)
+        ds = [((rng.random((8, 3)) < 0.5).astype(float), 0)]
+        with pytest.raises(ValueError, match=f"^non-finite gradient of layer 0 parameter {name} at epoch 0, batch 0, "):
+            train_bptt(model, ds, ObjectiveSpec(ObjectiveKind.CE_SPIKE_RATE), optimizer=OptimizerState.sgd(1e-2))
+        for layer, (w, v, beta) in zip(model, before):
+            assert np.array_equal(layer.w, w) and layer.lif.beta == beta
+            assert v is None or np.array_equal(layer.v, v)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_rejected(self, batch_size):
+        rng = np.random.default_rng(0)
+        ds = [((rng.random((8, 3)) < 0.5).astype(float), 0)]
+        with pytest.raises(ValueError, match=f"^batch_size must be at least 1, got {batch_size}$"):
+            train_bptt(small_model(rng), ds, ObjectiveSpec(ObjectiveKind.CE_SPIKE_RATE), batch_size=batch_size)
+
     def test_nan_loss_raises(self):
         rng = np.random.default_rng(1)
         model = small_model(rng, sizes=(3, 2))

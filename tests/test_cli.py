@@ -196,9 +196,31 @@ objective.kind = mse_spike_time
         ("trainer.update_policy = per_step\ntrainer.interval = 0\n",
          "config key 'trainer.*': interval must be >= 1, got 0"),
         ("reg.lambda_l1 = abc\n", "config key 'reg.lambda_l1': expected a number, got 'abc'"),
-    ], ids=["surrogate.slope", "optimizer.beta1", "trainer.interval", "reg.lambda_l1"])
+        ("model.beta = 0.9,1.5\n", "config key 'model.*', layer 1: beta must be in (0, 1], got 1.5"),
+        ("model.theta = 1,-1\n", "config key 'model.*', layer 1: theta0 must be positive, got -1.0"),
+    ], ids=["surrogate.slope", "optimizer.beta1", "trainer.interval", "reg.lambda_l1", "model.beta", "model.theta"])
     def test_range_error_names_its_config_section(self, tmp_path, capsys, extra, message):
         cfg, out = write_config(tmp_path, RATE_CONFIG + extra)
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (out / "history.csv").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        (RATE_CONFIG + "train.epochs = 0\n", "config key 'train.epochs': must be at least 1, got 0"),
+        (RATE_CONFIG + "train.batch_size = -1\n", "config key 'train.batch_size': must be at least 1, got -1"),
+        (PERTURBATION_CONFIG + "trainer.trials = 0\n", "config key 'trainer.trials': must be at least 1, got 0"),
+        (PERTURBATION_CONFIG + "trainer.sigma = nan\n", "config key 'trainer.sigma': must be finite and >= 0, got nan"),
+        (PERTURBATION_CONFIG + "trainer.sigma = -1\n", "config key 'trainer.sigma': must be finite and >= 0, got -1.0"),
+        (SPIKEPROP_CONFIG.replace("spikeprop.tau = 1.0", "spikeprop.tau = -1"),
+         "config key 'spikeprop.*': tau must be positive, got -1.0"),
+        (SPIKEPROP_CONFIG + "spikeprop.dt_fine = 0.5\n",
+         "config key 'spikeprop.*': dt_fine must be at most tau/100 for reliable bracketing"),
+        (SPIKEPROP_CONFIG + "spikeprop.theta = 0\n",
+         "config key 'spikeprop.*': theta of output neuron 0 is 0.0; it must be finite and positive"),
+    ], ids=["train.epochs", "train.batch_size", "trainer.trials", "trainer.sigma-nan", "trainer.sigma-negative",
+            "spikeprop.tau", "spikeprop.dt_fine", "spikeprop.theta"])
+    def test_bad_value_names_its_key(self, tmp_path, capsys, text, message):
+        cfg, out = write_config(tmp_path, text)
         assert main(["train", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "history.csv").exists()

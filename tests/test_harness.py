@@ -208,6 +208,10 @@ class TestEventDataset:
         with pytest.raises(ValueError, match="uniform"):
             load_event_dataset(manifest, n_classes=2)
 
+    def test_sample_that_is_not_a_matrix_rejected(self):
+        with pytest.raises(ValueError, match=r"expected a T x N matrix, got shape \(5,\)"):
+            Dataset(samples=[(np.zeros((4, 5)), 0), (np.zeros(5), 1)], n_classes=2)
+
 
 BASE_CONFIG = """
 task.kind = rate

@@ -184,6 +184,17 @@ class TestPerturbationTrain:
         with pytest.raises(ValueError):
             perturbation_train(model, ds, sigma=-0.1, trials=5, objective=obj)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_non_finite_sigma_rejected(self, sigma):
+        model, ds, obj = _teacher_problem(3, 2, seed=4)
+        with pytest.raises(ValueError, match=f"^sigma must be finite and >= 0, got {sigma}$"):
+            perturbation_train(model, ds, sigma=sigma, trials=5, objective=obj)
+
+    def test_empty_dataset_rejected(self):
+        model, _, obj = _teacher_problem(3, 2, seed=4)
+        with pytest.raises(ValueError, match="^dataset is empty$"):
+            perturbation_train(model, [], sigma=0.1, trials=5, objective=obj)
+
     def test_non_finite_initial_loss_raises(self):
         model, ds, obj = _teacher_problem(3, 2, seed=4)
         w0 = model[0].w.copy()
