@@ -7,10 +7,11 @@ result is the BPTT gradient exactly; this script measures the agreement
 and then trains the same stream both ways.
 """
 
+import math
+
 import numpy as np
 
 from spikegrad import (
-    InfluenceState,
     LifParams,
     LifState,
     ObjectiveKind,
@@ -18,7 +19,6 @@ from spikegrad import (
     OptimizerState,
     OutputGrads,
     SnnLayer,
-    UpdatePolicy,
     backward,
     forward,
     influence_step,
@@ -42,8 +42,9 @@ _, d_u = mse_membrane(record.output_membrane(), y)
 bptt_grad = backward(record, OutputGrads(d_membrane=d_u))[0].d_w
 
 # Forward mode: influence recursion, nothing stored beyond one step.
+# The influence is a plain N_out x N_in array, m[i, j] = dU_i/dW_ij.
 state = LifState.zeros(n_out)
-infl = InfluenceState.zeros(n_out, n_in)
+infl = np.zeros((n_out, n_in))
 online_total = np.zeros_like(w0)
 for t in range(t_steps):
     state, _ = lif_step(state, lif, layer.w @ x[t])
@@ -56,13 +57,13 @@ print(f"max relative gap between summed online gradient and BPTT: {gap:.2e}")
 print("(same sum, two evaluation orders; agreement is machine-level)\n")
 
 # Trained end to end, a deferred online update is one BPTT step.
-for policy, label in (
-    (UpdatePolicy.deferred(), "deferred (update once at stream end)"),
-    (UpdatePolicy.per_step(1), "per-step (update every step)"),
+for interval, label in (
+    (math.inf, "deferred (update once at stream end)"),
+    (1, "per-step (update every step)"),
 ):
     net = [SnnLayer(w=w0.copy(), lif=lif)]
     hist = train_online(
         net, zip(x, y), ObjectiveSpec(ObjectiveKind.MSE_MEMBRANE),
-        update_policy=policy, optimizer=OptimizerState.sgd(1e-3),
+        interval=interval, optimizer=OptimizerState.sgd(1e-3),
     )
     print(f"{label}: {len(hist.rows)} update(s), mean step loss {hist.final_loss:.3f}")

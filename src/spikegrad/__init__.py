@@ -65,7 +65,7 @@ from .bptt import (
     save_checkpoint,
     train_bptt,
 )
-from .online import InfluenceState, UpdatePolicy, influence_step, online_grad, train_online
+from .online import influence_step, online_grad, train_online
 from .spikeprop import (
     DeadNeuronError,
     SrmNet,

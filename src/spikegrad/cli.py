@@ -2,9 +2,8 @@
 
 Subcommands:
 
-  train      --config <path> [--threads N]   run the configured trainer;
-             writes history.csv, checkpoint.txt and the resolved config
-             (--threads N is accepted for compatibility and ignored)
+  train      --config <path>   run the configured trainer; writes
+             history.csv, checkpoint.txt and the resolved config
   eval       --checkpoint <path> --config <path>   accuracy + spike stats
   encode     --scheme rate|latency|delta --in <csv> --out <events> [...]
   gradcheck  --suite relaxed-fd|rtrl-vs-bptt|spikeprop-fd|beta-power [--seed N]
@@ -72,14 +71,14 @@ def _raster_to_times(raster, dt: float) -> list[np.ndarray]:
     return [np.nonzero(data[:, i])[0].astype(np.float64) * dt for i in range(data.shape[1])]
 
 
-def _train_spikeprop(cfg: RunConfig) -> TrainHistory:
-    """Train an SrmNet on the spike times; only the last row has an accuracy, of the final weights."""
+def _srm_net(cfg: RunConfig) -> SrmNet:
+    """The SpikeProp net of the config, its spikeprop.* settings checked."""
     sp = cfg.spikeprop
     if len(cfg.layer_sizes) != 2:
         raise ConfigError("config key 'model.layers': spikeprop uses a single weight layer")
     rng = np.random.default_rng(cfg.seed)
     n_in, n_out = cfg.layer_sizes
-    net = _in_section(
+    return _in_section(
         "spikeprop", SrmNet,
         w=rng.uniform(0.5, 1.5, size=(n_out, n_in)) * (2.0 / n_in),
         tau=sp.tau,
@@ -87,6 +86,12 @@ def _train_spikeprop(cfg: RunConfig) -> TrainHistory:
         t_end=sp.t_end,
         dt_fine=sp.dt_fine,
     )
+
+
+def _train_spikeprop(cfg: RunConfig, net: SrmNet) -> TrainHistory:
+    """Train the SrmNet on the spike times; only the last row has an accuracy, of the final weights."""
+    sp = cfg.spikeprop
+    n_out = net.w.shape[0]
     dt = net.dt_fine
     samples = []
     for x, label in cfg.dataset.samples:
@@ -133,7 +138,7 @@ def _train_online_dataset(cfg: RunConfig, model):
                 stream,
                 cfg.objective,
                 surrogate=cfg.surrogate,
-                update_policy=cfg.update_policy,
+                interval=cfg.update_interval,
                 optimizer=cfg.optimizer,
             )
             losses.append(h.final_loss)
@@ -202,16 +207,16 @@ _LAYER_TRAINERS = {
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-
+    # the model is built first, so a setting that it rejects leaves no out_dir behind
     if cfg.trainer_kind == "spikeprop":  # trains its own SrmNet, which has no checkpoint format
-        model, history = None, _train_spikeprop(cfg)
+        model, train = _srm_net(cfg), _train_spikeprop
     else:
-        model = cfg.build_model(np.random.default_rng(cfg.seed))
-        history = _LAYER_TRAINERS[cfg.trainer_kind](cfg, model)
+        model, train = cfg.build_model(np.random.default_rng(cfg.seed)), _LAYER_TRAINERS[cfg.trainer_kind]
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    history = train(cfg, model)
 
     history.write_csv(os.path.join(cfg.out_dir, "history.csv"))
-    if model is not None:
+    if cfg.trainer_kind != "spikeprop":
         save_checkpoint(model, os.path.join(cfg.out_dir, "checkpoint.txt"))
     cfg.write_resolved(os.path.join(cfg.out_dir, "config.txt"))
     last = history.rows[-1]
@@ -326,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="run the configured trainer")
     p_train.add_argument("--config", required=True)
-    p_train.add_argument("--threads", type=int, default=None, help="accepted and ignored")
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="evaluate a checkpoint on the configured task")

@@ -24,6 +24,7 @@ never silently falls back to a default.  `#` starts a comment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +32,6 @@ import numpy as np
 from .bptt import Feedback, OptimizerKind, OptimizerState, SnnLayer
 from .neuron import LifParams, ResetMode, _as_matrix, beta_from_tau
 from .objectives import Inversion, ObjectiveKind, ObjectiveSpec, RegularizerSpec
-from .online import UpdatePolicy
 from .plasticity import Pairing, StdpParams
 from .surrogate import SurrogateKind, SurrogateVariant
 from .tasks import Dataset, gen_latency_task, gen_rate_task, load_event_dataset
@@ -182,7 +182,7 @@ class RunConfig:
     batch_size: int
     seed: int
     out_dir: str
-    update_policy: UpdatePolicy
+    update_interval: float  # online steps per update; inf defers it to the stream end
     stdp: StdpParams
     perturb_sigma: float
     perturb_trials: int
@@ -363,15 +363,12 @@ def load_run_config(path) -> RunConfig:
         ),
     )
 
-    policy_name = keys.str("trainer.update_policy", "deferred")
-    if policy_name == "deferred":
-        policy = UpdatePolicy.deferred()
-    elif policy_name == "per_step":
-        policy = _in_section("trainer", UpdatePolicy.per_step, **keys.given(interval=("trainer.interval", int)))
+    if keys.choice("trainer.update_policy", {"deferred": False, "per_step": True}, default=False):
+        update_interval = keys.int("trainer.interval", 1, minimum=1)
+    elif "trainer.interval" in raw:
+        raise ConfigError("config key 'trainer.interval': only read with trainer.update_policy = per_step")
     else:
-        raise ConfigError(
-            f"config key 'trainer.update_policy': unknown value {policy_name!r}"
-        )
+        update_interval = math.inf
 
     sp_tau = keys.float("spikeprop.tau", 1.0)
     spikeprop = SpikePropCfg(
@@ -404,7 +401,7 @@ def load_run_config(path) -> RunConfig:
         batch_size=keys.int("train.batch_size", 32, minimum=1),
         seed=keys.int("train.seed", 0),
         out_dir=keys.str("train.out_dir", "."),
-        update_policy=policy,
+        update_interval=update_interval,
         stdp=_stdp_params(keys),
         perturb_sigma=sigma,
         perturb_trials=keys.int("trainer.trials", 100, minimum=1),

@@ -25,7 +25,7 @@ import numpy as np
 from .bptt import Feedback, OutputGrads, SnnLayer, _trained, backward, forward
 from .neuron import LifParams, LifState, ResetMode, lif_step
 from .objectives import ce_spike_rate, mse_membrane
-from .online import InfluenceState, influence_step, online_grad
+from .online import influence_step, online_grad
 from .spikeprop import (
     SrmNet,
     alpha_kernel,
@@ -198,7 +198,7 @@ def run_rtrl_vs_bptt(seed: int = 0, n_cases: int = 50) -> list[CaseResult]:
         bptt_grad = backward(record, OutputGrads(d_membrane=d_u), detach_reset=True)[0].d_w
 
         state = LifState.zeros(n_out)
-        infl = InfluenceState.zeros(n_out, n_in)
+        infl = np.zeros((n_out, n_in))
         online = np.zeros_like(layer.w)
         for t in range(t_steps):
             state, _ = lif_step(state, lif, layer.w @ x[t])

@@ -18,8 +18,10 @@ layers receive only the instantaneous spatial adjoint (cross-layer
 temporal dependencies are truncated, eligibility-trace style), so the
 exactness claim is restricted to one layer.
 
-Everything here reads values available at t and t-1 only, and state size
-is independent of the stream length.
+Everything here reads values available at t and t-1 only.  The state is
+plain arrays: per layer the LIF state, the N_out x N_in influence m and a
+gradient accumulator of the same shape, so its size is independent of the
+stream length.
 """
 
 from __future__ import annotations
@@ -35,63 +37,27 @@ from .neuron import LifState, ResetMode, lif_step
 from .objectives import ObjectiveKind, ObjectiveSpec, _square_error
 from .surrogate import DEFAULT_SURROGATE, SurrogateKind, surrogate_grad
 
-__all__ = [
-    "InfluenceState",
-    "UpdatePolicy",
-    "influence_step",
-    "online_grad",
-    "train_online",
-    "OnlineHistory",
-]
+__all__ = ["influence_step", "online_grad", "train_online", "OnlineHistory"]
 
 
-@dataclass
-class InfluenceState:
-    """Influence values dU_j[t]/dW_ij plus a deferred-update accumulator."""
+def influence_step(m: np.ndarray, beta: float, x: np.ndarray) -> np.ndarray:
+    """Advance the N_out x N_in influence m[i, j] = dU_i/dW_ij by one step: beta*m + x (broadcast).
 
-    m: np.ndarray          # N_out x N_in
-    grad_acc: np.ndarray   # same shape
-
-    @classmethod
-    def zeros(cls, n_out: int, n_in: int) -> "InfluenceState":
-        return cls(m=np.zeros((n_out, n_in)), grad_acc=np.zeros((n_out, n_in)))
-
-
-def influence_step(state: InfluenceState, beta: float, x: np.ndarray) -> InfluenceState:
-    """Advance the influence recursion by one step: m <- beta*m + x (broadcast).
-
-    The unweighted input x_i enters every post-synaptic row identically,
-    since dU_j/dW_ij depends on the weight only through its input.
+    The unweighted input x_j enters every post-synaptic row identically,
+    since dU_i/dW_ij depends on the weight only through its input.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (state.m.shape[1],):
-        raise ValueError(f"input shape {x.shape} does not match influence of {state.m.shape}")
-    return InfluenceState(m=beta * state.m + x, grad_acc=state.grad_acc)
+    if x.shape != (m.shape[1],):
+        raise ValueError(f"input shape {x.shape} does not match influence of {m.shape}")
+    return beta * m + x
 
 
-def online_grad(cbar: np.ndarray, state: InfluenceState) -> np.ndarray:
-    """Instantaneous weight gradient dL[t]/dW_ij = cbar_j * m_ij."""
+def online_grad(cbar: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Instantaneous weight gradient dL[t]/dW_ij = cbar_i * m_ij."""
     cbar = np.asarray(cbar, dtype=np.float64)
-    if cbar.shape != (state.m.shape[0],):
-        raise ValueError(f"cbar length {cbar.shape} does not match {state.m.shape[0]} outputs")
-    return cbar[:, None] * state.m
-
-
-@dataclass(frozen=True)
-class UpdatePolicy:
-    """Hand the accumulated gradient to the optimizer every ``interval`` steps."""
-
-    interval: float = math.inf
-
-    @classmethod
-    def deferred(cls) -> "UpdatePolicy":
-        return cls()
-
-    @classmethod
-    def per_step(cls, interval: float = 1) -> "UpdatePolicy":
-        if not (interval >= 1):
-            raise ValueError(f"interval must be >= 1, got {interval}")
-        return cls(interval=interval)
+    if cbar.shape != (m.shape[0],):
+        raise ValueError(f"cbar length {cbar.shape} does not match {m.shape[0]} outputs")
+    return cbar[:, None] * m
 
 
 @dataclass
@@ -135,16 +101,17 @@ def train_online(
     stream,
     objective: ObjectiveSpec,
     surrogate: SurrogateKind = DEFAULT_SURROGATE,
-    update_policy: UpdatePolicy | None = None,
+    interval: float = math.inf,
     optimizer: OptimizerState | None = None,
 ) -> OnlineHistory:
     """Train on a single stream of (input step, target step) pairs, in place.
 
-    ``UpdatePolicy.deferred()`` accumulates the whole-stream gradient and
-    applies one update at the end; ``per_step(k)`` updates every k steps
-    with the gradient gathered since the previous update (plus a final
-    flush).  The stream may be any iterable: nothing is read ahead and no
-    trace is stored.
+    The optimizer receives the gradient gathered since the previous update
+    every ``interval`` steps, and once more at the end of the stream for
+    any steps left over.  The default, ``math.inf``, accumulates the
+    whole-stream gradient and applies one update at the end; an interval
+    below 1 raises ``ValueError``.  The stream may be any iterable: nothing
+    is read ahead and no trace is stored.
 
     Only w is trained: a layer with ``v`` or a learned beta raises
     ``ValueError`` naming it.  Before each update, a non-finite pending loss
@@ -152,14 +119,16 @@ def train_online(
     of the update (counted from 1, as in the history rows); the weights stay
     untouched.
     """
+    if not (interval >= 1):
+        raise ValueError(f"interval must be >= 1, got {interval}")
     _w_only(model, "train_online")
-    if update_policy is None:
-        update_policy = UpdatePolicy.deferred()
     if optimizer is None:
         optimizer = OptimizerState.sgd(lr=1e-3)
 
+    # per layer: the LIF state, the influence dU/dW and the gradient since the last update
     states = [LifState.zeros(layer.n_out) for layer in model]
-    influences = [InfluenceState.zeros(layer.n_out, layer.n_in) for layer in model]
+    influences = [np.zeros(layer.w.shape) for layer in model]
+    grad_acc = [np.zeros(layer.w.shape) for layer in model]
     history = OnlineHistory()
 
     pending_loss = 0.0
@@ -168,14 +137,14 @@ def train_online(
 
     def apply_update(step_idx: int) -> None:
         nonlocal pending_loss, pending_steps
-        grads = [LayerGrads(d_w=inf.grad_acc) for inf in influences]
+        grads = [LayerGrads(d_w=g) for g in grad_acc]
         bad = _non_finite(model, pending_loss, grads)
         if bad is not None:
             raise ValueError(f"non-finite {bad} at the update after stream step {step_idx}")
         new_params = optimizer_step(_collect_params(model), _collect_grads(model, grads), optimizer)
         _assign_params(model, new_params)
-        for inf in influences:
-            inf.grad_acc = np.zeros_like(inf.grad_acc)
+        for g in grad_acc:
+            g.fill(0.0)
         history.rows.append((step_idx, pending_loss / pending_steps))
         pending_loss = 0.0
         pending_steps = 0
@@ -191,7 +160,7 @@ def train_online(
             influences[l] = influence_step(influences[l], layer.lif.beta, x)
             if layer.lif.reset_mode is ResetMode.ZERO:
                 # a spike at t-1 zeroes U[t], and with it every row's influence
-                influences[l].m *= (1.0 - states[l].s_prev)[:, None]
+                influences[l] *= (1.0 - states[l].s_prev)[:, None]
             layer_theta.append(layer.lif.theta0 + states[l].b)
             states[l], x = lif_step(states[l], layer.lif, layer.w @ x)
 
@@ -205,13 +174,13 @@ def train_online(
         # instantaneous spatial adjoint into hidden layers (temporal
         # cross-layer terms truncated)
         for l in range(out, -1, -1):
-            influences[l].grad_acc += online_grad(cbar, influences[l])
+            grad_acc[l] += online_grad(cbar, influences[l])
             if l > 0:
                 cbar = (model[l].w.T @ cbar) * surrogate_grad(
                     surrogate, states[l - 1].u, layer_theta[l - 1], states[l - 1].s_prev
                 )
 
-        if n_steps % update_policy.interval == 0:
+        if n_steps % interval == 0:
             apply_update(n_steps)
 
     if n_steps == 0:

@@ -193,12 +193,10 @@ objective.kind = mse_spike_time
     @pytest.mark.parametrize("extra, message", [
         ("surrogate.slope = -1\n", "config key 'surrogate.*': slope k must be positive, got -1.0"),
         ("optimizer.beta1 = 1.5\n", "config key 'optimizer.*': Adam betas must lie in [0, 1)"),
-        ("trainer.update_policy = per_step\ntrainer.interval = 0\n",
-         "config key 'trainer.*': interval must be >= 1, got 0"),
         ("reg.lambda_l1 = abc\n", "config key 'reg.lambda_l1': expected a number, got 'abc'"),
         ("model.beta = 0.9,1.5\n", "config key 'model.*', layer 1: beta must be in (0, 1], got 1.5"),
         ("model.theta = 1,-1\n", "config key 'model.*', layer 1: theta0 must be positive, got -1.0"),
-    ], ids=["surrogate.slope", "optimizer.beta1", "trainer.interval", "reg.lambda_l1", "model.beta", "model.theta"])
+    ], ids=["surrogate.slope", "optimizer.beta1", "reg.lambda_l1", "model.beta", "model.theta"])
     def test_range_error_names_its_config_section(self, tmp_path, capsys, extra, message):
         cfg, out = write_config(tmp_path, RATE_CONFIG + extra)
         assert main(["train", "--config", str(cfg)]) == 2
@@ -209,6 +207,8 @@ objective.kind = mse_spike_time
         (RATE_CONFIG + "train.epochs = 0\n", "config key 'train.epochs': must be at least 1, got 0"),
         (RATE_CONFIG + "train.batch_size = -1\n", "config key 'train.batch_size': must be at least 1, got -1"),
         (PERTURBATION_CONFIG + "trainer.trials = 0\n", "config key 'trainer.trials': must be at least 1, got 0"),
+        (RATE_CONFIG + "trainer.update_policy = per_step\ntrainer.interval = 0\n",
+         "config key 'trainer.interval': must be at least 1, got 0"),
         (PERTURBATION_CONFIG + "trainer.sigma = nan\n", "config key 'trainer.sigma': must be finite and >= 0, got nan"),
         (PERTURBATION_CONFIG + "trainer.sigma = -1\n", "config key 'trainer.sigma': must be finite and >= 0, got -1.0"),
         (SPIKEPROP_CONFIG.replace("spikeprop.tau = 1.0", "spikeprop.tau = -1"),
@@ -217,13 +217,31 @@ objective.kind = mse_spike_time
          "config key 'spikeprop.*': dt_fine must be at most tau/100 for reliable bracketing"),
         (SPIKEPROP_CONFIG + "spikeprop.theta = 0\n",
          "config key 'spikeprop.*': theta of output neuron 0 is 0.0; it must be finite and positive"),
-    ], ids=["train.epochs", "train.batch_size", "trainer.trials", "trainer.sigma-nan", "trainer.sigma-negative",
-            "spikeprop.tau", "spikeprop.dt_fine", "spikeprop.theta"])
+    ], ids=["train.epochs", "train.batch_size", "trainer.trials", "trainer.interval", "trainer.sigma-nan",
+            "trainer.sigma-negative", "spikeprop.tau", "spikeprop.dt_fine", "spikeprop.theta"])
     def test_bad_value_names_its_key(self, tmp_path, capsys, text, message):
         cfg, out = write_config(tmp_path, text)
         assert main(["train", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "history.csv").exists()
+
+    def test_interval_without_per_step_names_both_keys(self, tmp_path, capsys):
+        cfg, out = write_config(tmp_path, ONLINE_CONFIG + "trainer.interval = 5\n")
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config key 'trainer.interval': only read with trainer.update_policy = per_step\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", [
+        SPIKEPROP_CONFIG.replace("spikeprop.tau = 1.0", "spikeprop.tau = -1"),
+        SPIKEPROP_CONFIG + "spikeprop.theta = 0\n",
+        SPIKEPROP_CONFIG.replace("model.layers = 4,2", "model.layers = 4,3,2"),
+    ], ids=["spikeprop.tau", "spikeprop.theta", "model.layers"])
+    def test_bad_spikeprop_setting_makes_no_out_dir(self, tmp_path, text):
+        cfg, out = write_config(tmp_path, text)
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert not out.exists()
 
     def test_stdp_trains_every_layer(self, tmp_path):
         from spikegrad.bptt import load_checkpoint
@@ -250,14 +268,6 @@ objective.kind = mse_spike_time
         assert main(["train", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == "error: non-finite loss inf before trial 0\n"
         assert not (out / "history.csv").exists()
-
-    def test_threads_flag_is_accepted_and_ignored(self, tmp_path):
-        cfg1, out1 = write_config(tmp_path, RATE_CONFIG, tmp_path / "o1", name="a.cfg")
-        cfg2, out2 = write_config(tmp_path, RATE_CONFIG, tmp_path / "o2", name="b.cfg")
-        assert main(["train", "--config", str(cfg1)]) == 0
-        assert main(["train", "--config", str(cfg2), "--threads", "2"]) == 0
-        for name in ("history.csv", "checkpoint.txt"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
 class TestEvalCommand:

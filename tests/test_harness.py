@@ -14,7 +14,6 @@ from spikegrad.config import ConfigError, SpikePropCfg, load_run_config, parse_c
 from spikegrad.events import EventFormatError, load_events, save_events
 from spikegrad.neuron import LifParams, ResetMode, SpikeRaster, beta_from_tau
 from spikegrad.objectives import Inversion, ObjectiveKind, ObjectiveSpec, RegularizerSpec
-from spikegrad.online import UpdatePolicy
 from spikegrad.plasticity import Pairing, StdpParams
 from spikegrad.surrogate import SurrogateKind, SurrogateVariant
 from spikegrad.tasks import Dataset, gen_latency_task, gen_rate_task, load_event_dataset
@@ -320,7 +319,7 @@ objective.kind = ce_spike_rate
             "batch_size": 32,
             "seed": 0,
             "out_dir": ".",
-            "update_policy": UpdatePolicy(interval=math.inf),
+            "update_interval": math.inf,
             "stdp": StdpParams(
                 a_plus=0.01, a_minus=-0.012, tau_plus=20.0, tau_minus=20.0, w_min=-1.0, w_max=1.0,
                 pairing=Pairing.ALL_PAIRS, window=100.0,
@@ -418,7 +417,7 @@ spikeprop.target_incorrect = 3.5
             "batch_size": 5,
             "seed": 11,
             "out_dir": "runs/all",
-            "update_policy": UpdatePolicy(interval=5),
+            "update_interval": 5,
             "stdp": StdpParams(
                 a_plus=0.5, a_minus=-0.25, tau_plus=4.0, tau_minus=6.0, w_min=-3.0, w_max=2.0,
                 pairing=Pairing.NEAREST_NEIGHBOR, window=12.0,

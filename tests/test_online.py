@@ -6,67 +6,54 @@ import pytest
 from spikegrad.bptt import OptimizerState, OutputGrads, SnnLayer, backward, forward
 from spikegrad.neuron import LifParams, ResetMode
 from spikegrad.objectives import ObjectiveKind, ObjectiveSpec, mse_membrane
-from spikegrad.online import (
-    InfluenceState,
-    UpdatePolicy,
-    influence_step,
-    online_grad,
-    train_online,
-)
+from spikegrad.online import influence_step, online_grad, train_online
 from spikegrad.surrogate import SurrogateKind
 
 
 class TestInfluenceStep:
     def test_hand_rolled_recursion(self):
         # beta=0.5, inputs 1, 0, 1 -> influence 1, 0.5, 1.25
-        state = InfluenceState.zeros(1, 1)
+        m = np.zeros((1, 1))
         values = []
         for x in (1.0, 0.0, 1.0):
-            state = influence_step(state, 0.5, np.array([x]))
-            values.append(state.m[0, 0])
+            m = influence_step(m, 0.5, np.array([x]))
+            values.append(m[0, 0])
         assert values == pytest.approx([1.0, 0.5, 1.25])
 
     def test_zero_input_decays_geometrically(self):
-        state = InfluenceState(m=np.full((2, 3), 4.0), grad_acc=np.zeros((2, 3)))
-        state = influence_step(state, 0.25, np.zeros(3))
-        assert np.all(state.m == 1.0)
+        m = influence_step(np.full((2, 3), 4.0), 0.25, np.zeros(3))
+        assert np.all(m == 1.0)
 
     def test_beta_zero_is_memoryless(self):
-        state = InfluenceState(m=np.full((1, 2), 9.0), grad_acc=np.zeros((1, 2)))
-        state = influence_step(state, 0.0, np.array([0.5, 0.0]))
-        assert state.m[0] == pytest.approx([0.5, 0.0])
+        m = influence_step(np.full((1, 2), 9.0), 0.0, np.array([0.5, 0.0]))
+        assert m[0] == pytest.approx([0.5, 0.0])
 
     def test_broadcast_same_input_every_row(self):
-        state = InfluenceState.zeros(3, 2)
-        state = influence_step(state, 0.7, np.array([1.0, 2.0]))
-        assert np.array_equal(state.m, np.tile([1.0, 2.0], (3, 1)))
+        m = influence_step(np.zeros((3, 2)), 0.7, np.array([1.0, 2.0]))
+        assert np.array_equal(m, np.tile([1.0, 2.0], (3, 1)))
 
     def test_shape_checked(self):
         with pytest.raises(ValueError):
-            influence_step(InfluenceState.zeros(2, 3), 0.5, np.zeros(4))
+            influence_step(np.zeros((2, 3)), 0.5, np.zeros(4))
 
     def test_state_size_independent_of_stream_length(self):
-        state = InfluenceState.zeros(4, 6)
+        m = np.zeros((4, 6))
         rng = np.random.default_rng(0)
         for _ in range(500):
-            state = influence_step(state, 0.9, rng.random(6))
-        assert state.m.shape == (4, 6)
-        assert state.grad_acc.shape == (4, 6)
+            m = influence_step(m, 0.9, rng.random(6))
+        assert m.shape == (4, 6)
 
 
 class TestOnlineGrad:
     def test_zero_credit_zero_gradient(self):
-        state = InfluenceState(m=np.ones((2, 3)), grad_acc=np.zeros((2, 3)))
-        assert np.all(online_grad(np.zeros(2), state) == 0.0)
+        assert np.all(online_grad(np.zeros(2), np.ones((2, 3))) == 0.0)
 
     def test_scalar_product(self):
-        state = InfluenceState(m=np.array([[1.25]]), grad_acc=np.zeros((1, 1)))
-        assert online_grad(np.array([2.0]), state)[0, 0] == pytest.approx(2.5)
+        assert online_grad(np.array([2.0]), np.array([[1.25]]))[0, 0] == pytest.approx(2.5)
 
     def test_outer_structure(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        state = InfluenceState(m=m, grad_acc=np.zeros_like(m))
-        g = online_grad(np.array([10.0, 0.1]), state)
+        g = online_grad(np.array([10.0, 0.1]), m)
         assert g == pytest.approx(np.array([[10.0, 20.0], [0.3, 0.4]]))
 
 
@@ -95,7 +82,7 @@ class TestTrainOnline:
             [layer2],
             zip(x, y),
             ObjectiveSpec(ObjectiveKind.MSE_MEMBRANE),
-            update_policy=UpdatePolicy.deferred(),
+            interval=float("inf"),
             optimizer=OptimizerState.sgd(lr),
         )
         assert np.max(np.abs(layer2.w - w_bptt)) < 1e-9 * max(1.0, np.max(np.abs(w_bptt)))
@@ -105,9 +92,8 @@ class TestTrainOnline:
         obj = ObjectiveSpec(ObjectiveKind.MSE_MEMBRANE)
         a = SnnLayer(w=w0.copy(), lif=lif)
         b = SnnLayer(w=w0.copy(), lif=lif)
-        train_online([a], zip(x, y), obj, update_policy=UpdatePolicy.deferred(),
-                     optimizer=OptimizerState.sgd(1e-3))
-        train_online([b], zip(x, y), obj, update_policy=UpdatePolicy.per_step(float("inf")),
+        train_online([a], zip(x, y), obj, optimizer=OptimizerState.sgd(1e-3))
+        train_online([b], zip(x, y), obj, interval=float("inf"),
                      optimizer=OptimizerState.sgd(1e-3))
         assert np.array_equal(a.w, b.w)
 
@@ -115,7 +101,7 @@ class TestTrainOnline:
         lif, w0, x, y = _sequence_problem(seed=4)
         layer = SnnLayer(w=w0.copy(), lif=lif)
         train_online([layer], zip(x, y), ObjectiveSpec(ObjectiveKind.MSE_MEMBRANE),
-                     update_policy=UpdatePolicy.per_step(1),
+                     interval=1,
                      optimizer=OptimizerState.sgd(0.0))
         assert np.array_equal(layer.w, w0)
 
@@ -132,7 +118,7 @@ class TestTrainOnline:
         lif, w0, x, y = _sequence_problem(seed=6, t_steps=20)
         layer = SnnLayer(w=w0.copy(), lif=lif)
         hist = train_online([layer], zip(x, y), ObjectiveSpec(ObjectiveKind.MSE_MEMBRANE),
-                            update_policy=UpdatePolicy.per_step(5),
+                            interval=5,
                             optimizer=OptimizerState.sgd(1e-4))
         assert [row[0] for row in hist.rows] == [5, 10, 15, 20]
 
@@ -151,6 +137,14 @@ class TestTrainOnline:
         layer = SnnLayer(w=w0.copy(), lif=lif)
         with pytest.raises(ValueError, match="per-step"):
             train_online([layer], zip(x, y), ObjectiveSpec(ObjectiveKind.CE_SPIKE_RATE))
+
+    @pytest.mark.parametrize("interval", [0, 0.5, -1, float("nan")])
+    def test_interval_below_one_rejected(self, interval):
+        lif, w0, x, y = _sequence_problem()
+        layer = SnnLayer(w=w0.copy(), lif=lif)
+        with pytest.raises(ValueError, match=f"^interval must be >= 1, got {interval}$"):
+            train_online([layer], zip(x, y), ObjectiveSpec(ObjectiveKind.MSE_MEMBRANE), interval=interval)
+        assert np.array_equal(layer.w, w0)
 
     def test_empty_stream_rejected(self):
         lif, w0, _, _ = _sequence_problem()
@@ -176,7 +170,7 @@ class TestTrainOnline:
         with pytest.raises(ValueError, match="non-finite gradient of layer 0 parameter w "
                                              "at the update after stream step 10"):
             train_online([layer], zip(x, y_spikes), ObjectiveSpec(ObjectiveKind.MSE_SPIKE_RATE),
-                         update_policy=UpdatePolicy.per_step(10),
+                         interval=10,
                          optimizer=OptimizerState.sgd(1e-3))
         assert np.array_equal(layer.w, w0)
 
@@ -186,11 +180,11 @@ class TestTrainOnline:
         obj = ObjectiveSpec(ObjectiveKind.MSE_MEMBRANE)
         clean_half = SnnLayer(w=w0.copy(), lif=lif)
         train_online([clean_half], zip(x[:10], y[:10]), obj,
-                     update_policy=UpdatePolicy.per_step(10), optimizer=OptimizerState.sgd(1e-3))
+                     interval=10, optimizer=OptimizerState.sgd(1e-3))
         layer = SnnLayer(w=w0.copy(), lif=lif)
         with pytest.raises(ValueError, match="non-finite loss inf at the update after stream step 20"):
             train_online([layer], zip(x, y), obj,
-                         update_policy=UpdatePolicy.per_step(10), optimizer=OptimizerState.sgd(1e-3))
+                         interval=10, optimizer=OptimizerState.sgd(1e-3))
         assert np.array_equal(layer.w, clean_half.w)
 
     @pytest.mark.parametrize("recurrent, learn_beta, name", [(True, False, "v"), (False, True, "beta")])
@@ -227,7 +221,7 @@ def _online_vs_bptt_error(seed, reset_mode, adapt_alpha, kind):
     g = backward(record, out, surrogate=surrogate, detach_reset=True)[0].d_w
     layer = SnnLayer(w=w0.copy(), lif=lif)
     train_online([layer], zip(x, y), ObjectiveSpec(kind), surrogate=surrogate,
-                 update_policy=UpdatePolicy.deferred(), optimizer=OptimizerState.sgd(1.0))
+                 interval=float("inf"), optimizer=OptimizerState.sgd(1.0))
     return np.max(np.abs((w0 - layer.w) - g)) / np.max(np.abs(g))
 
 
