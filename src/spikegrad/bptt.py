@@ -127,7 +127,6 @@ class ForwardRecord:
 
     layers: list[SnnLayer]
     traces: list[_LayerTrace]
-    relaxed_slope: float | None = None
 
     @property
     def t_steps(self) -> int:
@@ -180,7 +179,7 @@ def forward(model: list[SnnLayer], inputs, relaxed_slope: float | None = None) -
         traces.append(_LayerTrace(u=u, s=s, x=x, theta=theta))
         x = s
 
-    return ForwardRecord(layers=list(model), traces=traces, relaxed_slope=relaxed_slope)
+    return ForwardRecord(layers=list(model), traces=traces)
 
 
 @dataclass
@@ -188,7 +187,6 @@ class LayerGrads:
     d_w: np.ndarray
     d_v: np.ndarray | None = None
     d_beta: float | None = None
-    d_w_steps: np.ndarray | None = None  # per-step contributions, on request
 
 
 def _previous_step(trace: np.ndarray) -> np.ndarray:
@@ -215,7 +213,6 @@ def backward(
     feedback: Feedback = Feedback.SYMMETRIC,
     detach_reset: bool = True,
     extra_spike_grads: list[np.ndarray | None] | None = None,
-    per_step: bool = False,
 ) -> list[LayerGrads]:
     """Adjoint of the unrolled graph recorded by :func:`forward`.
 
@@ -316,8 +313,7 @@ def backward(
             lam_i[t] = lam_u * (1.0 - s_before[t]) if zero_mode else lam_u
             lam_u_next = lam_u
 
-        d_w_steps = lam_i[:, :, None] * tr.x[:, None, :]
-        grads = LayerGrads(_adjoint_order_sum(d_w_steps), d_w_steps=d_w_steps if per_step else None)
+        grads = LayerGrads(_adjoint_order_sum(lam_i[:, :, None] * tr.x[:, None, :]))
         if layer.v is not None:
             grads.d_v = _adjoint_order_sum(lam_i[:, :, None] * s_before[:, None, :])
         if lif.learn_beta:

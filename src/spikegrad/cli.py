@@ -3,7 +3,7 @@
 Subcommands:
 
   train      --config <path>   run the configured trainer; writes
-             history.csv, checkpoint.txt and the resolved config
+             history.csv, checkpoint.txt and config.txt (the keys as given)
   eval       --checkpoint <path> --config <path>   accuracy + spike stats
   encode     --scheme rate|latency|delta --in <csv> --out <events> [...]
   gradcheck  --suite relaxed-fd|rtrl-vs-bptt|spikeprop-fd|beta-power [--seed N]
@@ -38,7 +38,7 @@ from .config import ConfigError, RunConfig, _in_section, _Keys, _stdp_params, lo
 from .events import save_events
 from .gradcheck import SUITES
 from .neuron import SpikeRaster, _as_matrix
-from .objectives import ObjectiveKind, ObjectiveSpec, predict_class
+from .objectives import ObjectiveKind, ObjectiveSpec, _target_trace, predict_class
 from .online import train_online
 from .plasticity import perturbation_train, stdp_update
 from .spikeprop import DeadNeuronError, SrmNet, find_spike_time, train_spikeprop
@@ -129,9 +129,7 @@ def _train_online_dataset(cfg: RunConfig, model):
                 step_target = np.zeros(n_out)
                 step_target[int(target)] = 1.0
             else:
-                step_target = np.full(n_out, cfg.objective.membrane_target_incorrect)
-                mt = cfg.objective.membrane_target_correct
-                step_target[int(target)] = mt if mt is not None else 1.0
+                step_target = _target_trace(cfg.objective, target, (1, n_out))[0]
             stream = ((row, step_target) for row in _as_matrix(x))
             h = train_online(
                 model,
@@ -207,14 +205,14 @@ _LAYER_TRAINERS = {
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
-    # the model is built first, so a setting that it rejects leaves no out_dir behind
     if cfg.trainer_kind == "spikeprop":  # trains its own SrmNet, which has no checkpoint format
         model, train = _srm_net(cfg), _train_spikeprop
     else:
         model, train = cfg.build_model(np.random.default_rng(cfg.seed)), _LAYER_TRAINERS[cfg.trainer_kind]
-    os.makedirs(cfg.out_dir, exist_ok=True)
     history = train(cfg, model)
 
+    # made only now, so a run that fails to train leaves no out_dir behind
+    os.makedirs(cfg.out_dir, exist_ok=True)
     history.write_csv(os.path.join(cfg.out_dir, "history.csv"))
     if cfg.trainer_kind != "spikeprop":
         save_checkpoint(model, os.path.join(cfg.out_dir, "checkpoint.txt"))

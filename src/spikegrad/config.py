@@ -408,4 +408,11 @@ def load_run_config(path) -> RunConfig:
         spikeprop=spikeprop,
     )
     keys.reject_unknown()
+    if cfg.trainer_kind != "stdp":  # every other trainer reads a label as an output index
+        for index, (_, label) in enumerate(dataset.samples):
+            if not 0 <= label < layer_sizes[-1]:
+                raise ConfigError(
+                    f"config key 'model.layers': label {label} of sample {index} "
+                    f"is not an output index in [0, {layer_sizes[-1]})"
+                )
     return cfg

@@ -12,6 +12,9 @@ force the membrane to zero, or no reset at all.  An optional adaptive
 threshold bumps the firing threshold after every spike and relaxes it
 back geometrically.
 
+A whole rollout (``lif_scan``, ``lif_forward``) starts at rest; only
+``lif_step`` takes a state, for callers that advance one step at a time.
+
 All arithmetic is 64-bit; the gradient checks elsewhere in the package
 depend on it.
 """
@@ -240,24 +243,19 @@ def lif_scan(
     wx: np.ndarray,
     v: np.ndarray | None = None,
     relaxed_slope: float | None = None,
-    state: LifState | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Roll the LIF update over a T x N matrix of weighted input currents.
 
     ``v`` is an optional N x N explicit-recurrence matrix: step t receives
-    v @ s[t-1] on top of wx[t].  ``state`` gives the initial conditions
-    (zeros by default).  Returns the T x N membrane (the value used in each
-    step's threshold test), spike and effective-threshold traces.
+    v @ s[t-1] on top of wx[t].  The scan starts at rest (``LifState.zeros``).
+    Returns the T x N membrane (the value used in each step's threshold
+    test), spike and effective-threshold traces.
     """
     wx = np.asarray(wx, dtype=np.float64)
     if wx.ndim != 2:
         raise ValueError(f"expected a T x N matrix, got shape {wx.shape}")
     t_steps, n = wx.shape
-    if state is None:
-        state = LifState.zeros(n)
-    elif state.u.shape != (n,):
-        raise ValueError(f"input of {n} neurons does not match state of shape {state.u.shape}")
-
+    state = LifState.zeros(n)
     u, b, s = state.u, state.b, state.s_prev
     u_trace = np.empty((t_steps, n))
     s_trace = np.empty((t_steps, n))
@@ -271,22 +269,11 @@ def lif_scan(
     return u_trace, s_trace, theta_trace
 
 
-def lif_forward(
-    params: LifParams,
-    inputs,
-    u0: np.ndarray | None = None,
-) -> tuple[MembraneTrace, SpikeRaster]:
-    """Roll the LIF update over a T x N matrix of weighted input currents.
+def lif_forward(params: LifParams, inputs) -> tuple[MembraneTrace, SpikeRaster]:
+    """Roll the LIF update from rest over a T x N matrix of weighted input currents.
 
     Records the membrane value used in each step's threshold comparison
     (i.e. after decay, input and reset) and the resulting spikes.
     """
-    wx = _as_matrix(inputs)
-    state = None
-    if u0 is not None:
-        u0 = np.asarray(u0, dtype=np.float64)
-        if not np.all(np.isfinite(u0)):
-            raise ValueError("u0 must be finite")
-        state = LifState(u=u0.copy(), b=np.zeros_like(u0), s_prev=np.zeros_like(u0))
-    u_trace, s_trace, _ = lif_scan(params, wx, state=state)
+    u_trace, s_trace, _ = lif_scan(params, _as_matrix(inputs))
     return MembraneTrace(u_trace), SpikeRaster(s_trace)

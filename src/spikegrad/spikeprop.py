@@ -16,9 +16,10 @@ available in closed form from the kernel, and the whole chain is verified
 against finite differences of the located spike time.
 
 A neuron that never crosses threshold has no spike time to differentiate;
-training then lowers that neuron's threshold by a configurable factor and
-logs the intervention (more effective than inflating weights, which fights
-the initialisation scale).
+training then lowers that neuron's threshold by the factor
+``THRESHOLD_DROP`` and logs the intervention (more effective than inflating
+weights, which fights the initialisation scale), at most
+``MAX_THRESHOLD_DROPS`` times per run.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ log = logging.getLogger(__name__)
 
 BISECTION_DEPTH = 60
 BISECTION_RESIDUAL = 1e-12
+THRESHOLD_DROP = 0.9
+MAX_THRESHOLD_DROPS = 200
 
 
 class DeadNeuronError(RuntimeError):
@@ -293,19 +296,12 @@ def _check_finite(what: str, rows: np.ndarray, epoch: int, sample: int) -> None:
         raise ValueError(f"non-finite {what} of output {bad[0]} at epoch {epoch}, sample {sample}")
 
 
-def train_spikeprop(
-    net: SrmNet,
-    dataset,
-    lr: float,
-    epochs: int,
-    dead_neuron_factor: float = 0.9,
-    max_threshold_drops: int = 200,
-) -> SpikePropHistory:
+def train_spikeprop(net: SrmNet, dataset, lr: float, epochs: int) -> SpikePropHistory:
     """Gradient descent on first-spike times over (presyn lists, target times) pairs.
 
     Whenever an output neuron stays silent for some sample, its threshold
-    is lowered by ``dead_neuron_factor`` and the sample retried, counting
-    and logging each intervention.  ``max_threshold_drops`` caps the drops
+    is multiplied by ``THRESHOLD_DROP`` and the sample retried, counting
+    and logging each intervention.  ``MAX_THRESHOLD_DROPS`` caps the drops
     over the whole run: the next silent output raises ``DeadNeuronError``
     before any update from that sample.  A non-finite gradient or updated
     weight raises ``ValueError`` naming the epoch, sample and output, with
@@ -316,8 +312,6 @@ def train_spikeprop(
     samples = _samples(dataset)
     if not (np.isfinite(lr) and lr >= 0.0):
         raise ValueError(f"lr must be finite and non-negative, got {lr}")
-    if not 0.0 < dead_neuron_factor < 1.0:
-        raise ValueError(f"dead_neuron_factor must lie in (0, 1), got {dead_neuron_factor}")
     spike_matrices = []
     for index, (presyn, _) in enumerate(samples):
         try:
@@ -334,9 +328,9 @@ def train_spikeprop(
                     break
                 except DeadNeuronError as dead:
                     history.threshold_interventions += 1
-                    if history.threshold_interventions > max_threshold_drops:
+                    if history.threshold_interventions > MAX_THRESHOLD_DROPS:
                         raise
-                    net.theta[dead.neuron] *= dead_neuron_factor
+                    net.theta[dead.neuron] *= THRESHOLD_DROP
                     log.info(
                         "lowered threshold of neuron %d to %.6g after a silent rollout",
                         dead.neuron,

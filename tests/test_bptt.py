@@ -83,16 +83,6 @@ class TestBackward:
         for g in grads:
             assert np.all(g.d_w == 0.0)
 
-    def test_weight_sharing_sum_over_steps(self):
-        rng = np.random.default_rng(1)
-        model = small_model(rng)
-        x = (rng.random((9, 3)) < 0.5).astype(float)
-        record = forward(model, x)
-        d_u = rng.normal(size=record.output_membrane().shape)
-        grads = backward(record, OutputGrads(d_membrane=d_u), per_step=True)
-        for g in grads:
-            assert g.d_w == pytest.approx(g.d_w_steps.sum(axis=0), rel=1e-12, abs=1e-12)
-
     def test_random_feedback_matches_symmetric_on_output_layer(self):
         rng = np.random.default_rng(2)
         model = small_model(rng)

@@ -260,14 +260,47 @@ objective.kind = mse_spike_time
         cfg, out = write_config(tmp_path, STDP_CONFIG + "model.recurrent = 1\n")
         assert main(["train", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == "error: stdp trains w only, but layer 0 also trains v\n"
-        assert not (out / "history.csv").exists()
+        assert not out.exists()
 
     def test_non_finite_perturbation_loss_is_an_error(self, tmp_path, capsys):
         text = PERTURBATION_CONFIG.replace("objective.kind = ce_spike_rate", "objective.kind = mse_membrane")
         cfg, out = write_config(tmp_path, text + "objective.membrane_target_correct = inf\n")
         assert main(["train", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == "error: non-finite loss inf before trial 0\n"
-        assert not (out / "history.csv").exists()
+        assert not out.exists()
+
+    def test_online_objective_without_a_step_form_makes_no_out_dir(self, tmp_path, capsys):
+        cfg, out = write_config(tmp_path, RATE_CONFIG.replace("trainer.kind = bptt", "trainer.kind = online"))
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config key 'objective.kind': online training needs mse_membrane or mse_spike_rate\n"
+        )
+        assert not out.exists()
+
+    def test_online_membrane_target_needs_its_correct_value(self, tmp_path, capsys):
+        cfg, out = write_config(
+            tmp_path, ONLINE_CONFIG.replace("objective.kind = mse_spike_rate", "objective.kind = mse_membrane")
+        )
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: mse_membrane with a class label needs membrane_target_correct\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["bptt", "online", "perturbation", "spikeprop"])
+    def test_label_outside_the_outputs_is_a_config_error(self, tmp_path, capsys, kind):
+        # one output fewer than the task has classes: label 1 indexes no output
+        text = TRAINER_CONFIGS[kind].replace("model.layers = 4,6,2", "model.layers = 4,6,1")
+        cfg, out = write_config(tmp_path, text.replace("model.layers = 4,2", "model.layers = 4,1"))
+        assert main(["train", "--config", str(cfg)]) == 2
+        first = 2 if kind == "spikeprop" else 4  # the first sample of class 1
+        assert capsys.readouterr().err == (
+            f"error: config key 'model.layers': label 1 of sample {first} is not an output index in [0, 1)\n"
+        )
+        assert not out.exists()
+
+    def test_stdp_reads_no_label(self, tmp_path):
+        cfg, out = write_config(tmp_path, STDP_CONFIG.replace("model.layers = 4,3", "model.layers = 4,1"))
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert (out / "checkpoint.txt").exists()
 
 
 class TestEvalCommand:

@@ -263,6 +263,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="model.layers"):
             load_run_config(path)
 
+    def test_negative_manifest_label_is_rejected(self, tmp_path):
+        for name in ("a.ev", "b.ev"):
+            save_events(SpikeRaster(np.zeros((12, 4))), tmp_path / name)
+        (tmp_path / "labels.txt").write_text("a.ev,0\nb.ev,-1\n")
+        path = self.write(tmp_path, (
+            f"task.kind = events\ntask.manifest = {tmp_path / 'labels.txt'}\ntask.n_classes = 2\n"
+            "model.layers = 4,2\nobjective.kind = ce_spike_rate\n"
+        ))
+        with pytest.raises(ConfigError, match=r"'model.layers': label -1 of sample 1 is not an output index in \[0, 2\)"):
+            load_run_config(path)
+
     def test_malformed_line_names_line(self, tmp_path):
         path = self.write(tmp_path, "this is not a key value pair\n")
         with pytest.raises(ConfigError, match=":1:"):

@@ -149,10 +149,6 @@ class TestLifForward:
         assert raster.data[0, 0] == 1.0
         assert trace.data[1, 0] == pytest.approx(1.7 - 1.0)
 
-    def test_u0_must_be_finite(self):
-        with pytest.raises(ValueError):
-            lif_forward(LifParams(beta=0.9), np.zeros((3, 1)), u0=np.array([np.inf]))
-
 
 class TestResetModeConvergence:
     def test_gap_shrinks_as_dt_halves(self):

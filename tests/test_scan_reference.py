@@ -79,12 +79,10 @@ def _reference_forward(model, inputs, relaxed_slope=None):
             s_prev[l] = s_new
             x = s_new
 
-    return ForwardRecord(layers=list(model), traces=traces, relaxed_slope=relaxed_slope)
+    return ForwardRecord(layers=list(model), traces=traces)
 
 
-def _reference_backward(
-    record, output_grads, surrogate, feedback, detach_reset, extra_spike_grads, per_step
-):
+def _reference_backward(record, output_grads, surrogate, feedback, detach_reset, extra_spike_grads):
     layers = record.layers
     n_layers = len(layers)
     t_steps = record.t_steps
@@ -115,7 +113,6 @@ def _reference_backward(
         d_w = np.zeros_like(layer.w)
         d_v = np.zeros_like(layer.v) if layer.v is not None else None
         d_beta = 0.0 if lif.learn_beta else None
-        d_w_steps = np.zeros((t_steps,) + layer.w.shape) if per_step else None
         d_x = np.zeros_like(tr.x)
 
         back_mat = layer.w.T if feedback is Feedback.SYMMETRIC else layer.feedback_b
@@ -149,10 +146,7 @@ def _reference_backward(
             s_before = tr.s[t - 1] if t > 0 else np.zeros(layer.n_out)
             lam_i = lam_u * (1.0 - s_before) if zero_mode else lam_u
 
-            contrib = np.outer(lam_i, tr.x[t])
-            d_w += contrib
-            if per_step:
-                d_w_steps[t] = contrib
+            d_w += np.outer(lam_i, tr.x[t])
             if d_v is not None and t > 0:
                 d_v += np.outer(lam_i, tr.s[t - 1])
             if d_beta is not None and t > 0:
@@ -163,7 +157,7 @@ def _reference_backward(
             lam_u_next = lam_u
             lam_i_next = lam_i
 
-        results[l] = LayerGrads(d_w=d_w, d_v=d_v, d_beta=d_beta, d_w_steps=d_w_steps)
+        results[l] = LayerGrads(d_w=d_w, d_v=d_v, d_beta=d_beta)
         downstream = d_x
 
     return results
@@ -225,14 +219,12 @@ def test_layer_major_engine_matches_step_major_reference(reset, recurrent, feedb
         feedback=feedback,
         detach_reset=variant != "attached",
         extra_spike_grads=[rng.normal(size=(t_steps, 7)), None],
-        per_step=True,
     )
     out = OutputGrads(d_spikes=rng.normal(size=(t_steps, 3)), d_membrane=rng.normal(size=(t_steps, 3)))
     grads = backward(record, out, **kwargs)
     ref_grads = _reference_backward(ref_record, out, **kwargs)
     for g, ref in zip(grads, ref_grads):
         assert np.array_equal(g.d_w, ref.d_w)
-        assert np.array_equal(g.d_w_steps, ref.d_w_steps)
         assert g.d_beta == ref.d_beta
         if recurrent:
             assert np.array_equal(g.d_v, ref.d_v)
@@ -266,14 +258,12 @@ def test_engine_matches_reference_at_short_lengths(reset, recurrent, feedback, v
         feedback=feedback,
         detach_reset=variant != "attached",
         extra_spike_grads=[rng.normal(size=(t_steps, 7)), None],
-        per_step=True,
     )
     out = OutputGrads(d_spikes=rng.normal(size=(t_steps, 3)), d_membrane=rng.normal(size=(t_steps, 3)))
     grads = backward(record, out, **kwargs)
     ref_grads = _reference_backward(ref_record, out, **kwargs)
     for g, ref in zip(grads, ref_grads):
         assert np.array_equal(g.d_w, ref.d_w)
-        assert np.array_equal(g.d_w_steps, ref.d_w_steps)
         assert g.d_beta == ref.d_beta
         if recurrent:
             assert np.array_equal(g.d_v, ref.d_v)
