@@ -11,15 +11,13 @@ verification.
 from .neuron import (
     LifParams,
     LifState,
-    MembraneTrace,
     ResetMode,
     SpikeRaster,
     beta_from_tau,
-    lif_forward,
     lif_scan,
     lif_step,
 )
-from .surrogate import DEFAULT_SURROGATE, SurrogateKind, SurrogateVariant, spike_forward, surrogate_grad
+from .surrogate import DEFAULT_SURROGATE, SurrogateKind, SurrogateVariant, surrogate_grad
 from .codec import (
     ClampMode,
     DeltaParams,

@@ -230,10 +230,7 @@ def _build_dataset(keys: _Keys) -> Dataset:
             jitter=keys.int("task.jitter", 1),
         )
     if kind == "events":
-        return load_event_dataset(
-            keys.str("task.manifest", required=True),
-            n_classes=keys.int("task.n_classes", required=True),
-        )
+        return load_event_dataset(keys.str("task.manifest", required=True))
     raise ConfigError(f"config key 'task.kind': unknown value {kind!r}")
 
 
@@ -408,6 +405,11 @@ def load_run_config(path) -> RunConfig:
         spikeprop=spikeprop,
     )
     keys.reject_unknown()
+    if cfg.trainer_kind in ("bptt", "perturbation") and objective.kind is ObjectiveKind.MSE_SPIKE_TIME:
+        raise ConfigError(
+            "config key 'objective.kind': mse_spike_time needs a target time per output neuron, "
+            "but config tasks give class labels"
+        )
     if cfg.trainer_kind != "stdp":  # every other trainer reads a label as an output index
         for index, (_, label) in enumerate(dataset.samples):
             if not 0 <= label < layer_sizes[-1]:

@@ -12,8 +12,9 @@ force the membrane to zero, or no reset at all.  An optional adaptive
 threshold bumps the firing threshold after every spike and relaxes it
 back geometrically.
 
-A whole rollout (``lif_scan``, ``lif_forward``) starts at rest; only
-``lif_step`` takes a state, for callers that advance one step at a time.
+``lif_scan`` rolls a whole T x N input from rest and returns plain
+membrane, spike and threshold arrays; ``lif_step`` advances a given state
+by one step.  Both apply ``_lif_update``, the one spike rule of the package.
 
 All arithmetic is 64-bit; the gradient checks elsewhere in the package
 depend on it.
@@ -34,11 +35,9 @@ __all__ = [
     "LifParams",
     "LifState",
     "SpikeRaster",
-    "MembraneTrace",
     "beta_from_tau",
     "lif_step",
     "lif_scan",
-    "lif_forward",
 ]
 
 
@@ -51,8 +50,8 @@ class ResetMode(enum.Enum):
 
 
 def _as_matrix(x) -> np.ndarray:
-    """Coerce a SpikeRaster / MembraneTrace / array-like to a float64 2-D array."""
-    if isinstance(x, (SpikeRaster, MembraneTrace)):
+    """Coerce a SpikeRaster or array-like to a float64 2-D array."""
+    if isinstance(x, SpikeRaster):
         return x.data
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 2:
@@ -89,32 +88,6 @@ class SpikeRaster:
     def counts(self) -> np.ndarray:
         """Per-neuron spike counts (column sums)."""
         return self.data.sum(axis=0)
-
-    def __array__(self, dtype=None, copy=None):
-        return self.data if dtype is None else self.data.astype(dtype)
-
-
-@dataclass(frozen=True)
-class MembraneTrace:
-    """T x N record of membrane potentials over a rollout."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ValueError(f"membrane trace must be 2-D (T x N), got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("membrane trace entries must be finite")
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def t_steps(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[1]
 
     def __array__(self, dtype=None, copy=None):
         return self.data if dtype is None else self.data.astype(dtype)
@@ -267,13 +240,3 @@ def lif_scan(
         s_trace[t] = s
         theta_trace[t] = theta
     return u_trace, s_trace, theta_trace
-
-
-def lif_forward(params: LifParams, inputs) -> tuple[MembraneTrace, SpikeRaster]:
-    """Roll the LIF update from rest over a T x N matrix of weighted input currents.
-
-    Records the membrane value used in each step's threshold comparison
-    (i.e. after decay, input and reset) and the resulting spikes.
-    """
-    u_trace, s_trace, _ = lif_scan(params, _as_matrix(inputs))
-    return MembraneTrace(u_trace), SpikeRaster(s_trace)

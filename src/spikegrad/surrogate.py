@@ -1,10 +1,11 @@
-"""Spike generation and its backward-pass derivative substitutes.
+"""Backward-pass derivative substitutes for the spike function.
 
-The forward pass thresholds the membrane with a hard step, whose exact
-derivative is zero almost everywhere (the dead-neuron regime).  During the
-backward pass the step's derivative is replaced by one of several smooth or
-piecewise stand-ins, all centred on the threshold and (except the hybrid
-and step variants) normalised to a peak value of 1.
+The forward pass (``neuron._lif_update``) thresholds the membrane with a
+hard step, whose exact derivative is zero almost everywhere (the
+dead-neuron regime).  During the backward pass the step's derivative is
+replaced by one of several smooth or piecewise stand-ins, all centred on
+the threshold and (except the hybrid and step variants) normalised to a
+peak value of 1.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 __all__ = [
     "SurrogateVariant",
     "SurrogateKind",
-    "spike_forward",
     "surrogate_grad",
     "sigmoid",
     "DEFAULT_SURROGATE",
@@ -97,19 +97,13 @@ def sigmoid(x):
     return out
 
 
-def spike_forward(u, theta):
-    """Hard threshold: 1 iff u > theta (strict), elementwise."""
-    u = np.asarray(u, dtype=np.float64)
-    return (u > theta).astype(np.float64)
-
-
 def surrogate_grad(kind: SurrogateKind, u, theta, s=None):
     """Backward-pass estimate of d(spike)/d(membrane), elementwise.
 
-    ``s`` is the spike computed in the forward pass; it is only consulted by
-    the hybrid variant (whose derivative *is* the forward spike, or the
-    small constant c below threshold).  For the other variants it may be
-    omitted.
+    ``s`` is the spike computed in the forward pass.  Only the hybrid
+    variant reads it (its derivative *is* the forward spike, or the small
+    constant c below threshold), and it requires it: the spike rule lives in
+    ``neuron._lif_update`` alone.  The other variants accept ``s=None``.
     """
     u = np.asarray(u, dtype=np.float64)
     x = u - theta
@@ -136,7 +130,7 @@ def surrogate_grad(kind: SurrogateKind, u, theta, s=None):
 
     if v is SurrogateVariant.HYBRID_SPIKE:
         if s is None:
-            s = spike_forward(u, theta)
+            raise ValueError("the hybrid surrogate needs the forward spikes s")
         s = np.asarray(s, dtype=np.float64)
         return np.where(s > 0.0, s, kind.c)
 

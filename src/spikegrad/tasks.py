@@ -23,7 +23,6 @@ class Dataset:
     """Uniformly shaped samples: list of (input raster/matrix, label or payload)."""
 
     samples: list
-    n_classes: int
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -66,7 +65,7 @@ def gen_rate_task(
                 (rng.random((t_steps, n_inputs)) < rate).astype(np.float64)
             )
             samples.append((raster, label))
-    return Dataset(samples=samples, n_classes=2)
+    return Dataset(samples=samples)
 
 
 def gen_latency_task(
@@ -122,14 +121,10 @@ def gen_latency_task(
             raster = np.zeros((t_steps, n_inputs))
             raster[times, np.arange(n_inputs)] = 1.0
             samples.append((SpikeRaster(raster), c))
-    return Dataset(
-        samples=samples,
-        n_classes=n_classes,
-        meta={"templates": [t.copy() for t in templates]},
-    )
+    return Dataset(samples=samples, meta={"templates": [t.copy() for t in templates]})
 
 
-def load_event_dataset(manifest_path, n_classes: int) -> Dataset:
+def load_event_dataset(manifest_path) -> Dataset:
     """Build a dataset from a manifest of `<event-file-path>,<label>` lines.
 
     Relative paths are resolved against the manifest's directory.
@@ -154,4 +149,4 @@ def load_event_dataset(manifest_path, n_classes: int) -> Dataset:
             samples.append((load_events(path), int(label)))
     if not samples:
         raise ValueError(f"{manifest_path}: no samples listed")
-    return Dataset(samples=samples, n_classes=n_classes)
+    return Dataset(samples=samples)

@@ -30,7 +30,7 @@ from spikegrad.gradcheck import (
     run_rtrl_vs_bptt,
     run_spikeprop_fd,
 )
-from spikegrad.neuron import LifParams, ResetMode, SpikeRaster, beta_from_tau, lif_forward
+from spikegrad.neuron import LifParams, ResetMode, SpikeRaster, beta_from_tau, lif_scan
 from spikegrad.objectives import ObjectiveKind, ObjectiveSpec, RegularizerSpec
 from spikegrad.surrogate import SurrogateKind
 from spikegrad.tasks import gen_latency_task, gen_rate_task
@@ -234,10 +234,10 @@ def test_criterion_9_reset_mode_convergence():
         times = np.arange(steps) * dt
         drive = np.where(times < 0.6, 1.2, 0.2)  # subthreshold hold after one crossing
         wx = ((1.0 - beta) * drive)[:, None]
-        u_sub, s_sub = lif_forward(LifParams(beta=beta, theta0=theta, reset_mode=ResetMode.SUBTRACT), wx)
-        u_zero, s_zero = lif_forward(LifParams(beta=beta, theta0=theta, reset_mode=ResetMode.ZERO), wx)
-        assert s_sub.data.sum() == s_zero.data.sum() == 1
-        return float(np.max(np.abs(u_sub.data - u_zero.data)))
+        u_sub, s_sub, _ = lif_scan(LifParams(beta=beta, theta0=theta, reset_mode=ResetMode.SUBTRACT), wx)
+        u_zero, s_zero, _ = lif_scan(LifParams(beta=beta, theta0=theta, reset_mode=ResetMode.ZERO), wx)
+        assert s_sub.sum() == s_zero.sum() == 1
+        return float(np.max(np.abs(u_sub - u_zero)))
 
     g1, g2, g3 = max_gap(0.02), max_gap(0.01), max_gap(0.005)
     ok = g2 < g1 and g3 < g2

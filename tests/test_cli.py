@@ -277,6 +277,17 @@ objective.kind = mse_spike_time
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["bptt", "perturbation"])
+    def test_spike_time_targets_are_a_config_error(self, tmp_path, capsys, kind):
+        text = TRAINER_CONFIGS[kind].replace("objective.kind = ce_spike_rate", "objective.kind = mse_spike_time")
+        cfg, out = write_config(tmp_path, text)
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config key 'objective.kind': mse_spike_time needs a target time per output neuron, "
+            "but config tasks give class labels\n"
+        )
+        assert not out.exists()
+
     def test_online_membrane_target_needs_its_correct_value(self, tmp_path, capsys):
         cfg, out = write_config(
             tmp_path, ONLINE_CONFIG.replace("objective.kind = mse_spike_rate", "objective.kind = mse_membrane")

@@ -188,7 +188,7 @@ class TestEventDataset:
         save_events(r2, tmp_path / "b.ev")
         manifest = tmp_path / "labels.txt"
         manifest.write_text("a.ev,0\nb.ev,1\n")
-        ds = load_event_dataset(manifest, n_classes=2)
+        ds = load_event_dataset(manifest)
         assert len(ds) == 2
         assert np.array_equal(ds.samples[0][0].data, np.eye(3))
         assert ds.samples[1][1] == 1
@@ -197,7 +197,7 @@ class TestEventDataset:
         manifest = tmp_path / "labels.txt"
         manifest.write_text("only-a-path\n")
         with pytest.raises(ValueError, match="labels.txt:1"):
-            load_event_dataset(manifest, n_classes=2)
+            load_event_dataset(manifest)
 
     def test_non_uniform_shapes_rejected(self, tmp_path):
         save_events(SpikeRaster(np.zeros((3, 2))), tmp_path / "a.ev")
@@ -205,11 +205,11 @@ class TestEventDataset:
         manifest = tmp_path / "labels.txt"
         manifest.write_text("a.ev,0\nb.ev,1\n")
         with pytest.raises(ValueError, match="uniform"):
-            load_event_dataset(manifest, n_classes=2)
+            load_event_dataset(manifest)
 
     def test_sample_that_is_not_a_matrix_rejected(self):
         with pytest.raises(ValueError, match=r"expected a T x N matrix, got shape \(5,\)"):
-            Dataset(samples=[(np.zeros((4, 5)), 0), (np.zeros(5), 1)], n_classes=2)
+            Dataset(samples=[(np.zeros((4, 5)), 0), (np.zeros(5), 1)])
 
 
 BASE_CONFIG = """
@@ -268,10 +268,21 @@ class TestConfig:
             save_events(SpikeRaster(np.zeros((12, 4))), tmp_path / name)
         (tmp_path / "labels.txt").write_text("a.ev,0\nb.ev,-1\n")
         path = self.write(tmp_path, (
-            f"task.kind = events\ntask.manifest = {tmp_path / 'labels.txt'}\ntask.n_classes = 2\n"
+            f"task.kind = events\ntask.manifest = {tmp_path / 'labels.txt'}\n"
             "model.layers = 4,2\nobjective.kind = ce_spike_rate\n"
         ))
         with pytest.raises(ConfigError, match=r"'model.layers': label -1 of sample 1 is not an output index in \[0, 2\)"):
+            load_run_config(path)
+
+    def test_events_task_has_no_class_count_key(self, tmp_path):
+        for name in ("a.ev", "b.ev"):
+            save_events(SpikeRaster(np.zeros((12, 4))), tmp_path / name)
+        (tmp_path / "labels.txt").write_text("a.ev,0\nb.ev,1\n")
+        path = self.write(tmp_path, (
+            f"task.kind = events\ntask.manifest = {tmp_path / 'labels.txt'}\ntask.n_classes = 2\n"
+            "model.layers = 4,2\nobjective.kind = ce_spike_rate\n"
+        ))
+        with pytest.raises(ConfigError, match=r"^unknown config key 'task.n_classes'$"):
             load_run_config(path)
 
     def test_malformed_line_names_line(self, tmp_path):

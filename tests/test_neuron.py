@@ -8,11 +8,10 @@ import pytest
 from spikegrad.neuron import (
     LifParams,
     LifState,
-    MembraneTrace,
     ResetMode,
     SpikeRaster,
     beta_from_tau,
-    lif_forward,
+    lif_scan,
     lif_step,
 )
 
@@ -111,66 +110,43 @@ class TestAdaptiveThreshold:
 
 class TestLifForward:
     def test_all_zero_input(self):
-        trace, raster = lif_forward(LifParams(beta=0.9), np.zeros((7, 3)))
-        assert np.all(trace.data == 0.0)
-        assert np.all(raster.data == 0.0)
+        trace, raster, _ = lif_scan(LifParams(beta=0.9), np.zeros((7, 3)))
+        assert np.all(trace == 0.0)
+        assert np.all(raster == 0.0)
 
     def test_constant_input_converges_to_geometric_limit(self):
         beta, current = 0.8, 0.05
         params = LifParams(beta=beta, theta0=10.0)  # never spikes
-        trace, raster = lif_forward(params, np.full((400, 1), current))
-        assert raster.data.sum() == 0
-        assert trace.data[-1, 0] == pytest.approx(current / (1.0 - beta), rel=1e-9)
+        trace, raster, _ = lif_scan(params, np.full((400, 1), current))
+        assert raster.sum() == 0
+        assert trace[-1, 0] == pytest.approx(current / (1.0 - beta), rel=1e-9)
 
     def test_pulse_then_geometric_decay(self):
         beta = 0.5
         params = LifParams(beta=beta, theta0=10.0)
         wx = np.zeros((6, 1))
         wx[0, 0] = 1.0
-        trace, _ = lif_forward(params, wx)
-        assert trace.data[:, 0] == pytest.approx([beta**k for k in range(6)])
+        trace, _, _ = lif_scan(params, wx)
+        assert trace[:, 0] == pytest.approx([beta**k for k in range(6)])
 
     def test_no_reset_no_spike_is_pure_recurrence(self):
         rng = np.random.default_rng(9)
         beta = 0.85
         wx = rng.normal(0, 0.01, size=(30, 2))  # subthreshold
-        trace, raster = lif_forward(LifParams(beta=beta, theta0=5.0, reset_mode=ResetMode.NONE), wx)
-        assert raster.data.sum() == 0
+        trace, raster, _ = lif_scan(LifParams(beta=beta, theta0=5.0, reset_mode=ResetMode.NONE), wx)
+        assert raster.sum() == 0
         u = np.zeros(2)
         for t in range(30):
             u = beta * u + wx[t]
-            assert trace.data[t] == pytest.approx(u, abs=1e-15)
+            assert trace[t] == pytest.approx(u, abs=1e-15)
 
     def test_subtract_residual_is_exact(self):
         # after a spike the next membrane keeps the superthreshold residue
         params = LifParams(beta=1.0, theta0=1.0, reset_mode=ResetMode.SUBTRACT)
         wx = np.array([[1.7], [0.0]])
-        trace, raster = lif_forward(params, wx)
-        assert raster.data[0, 0] == 1.0
-        assert trace.data[1, 0] == pytest.approx(1.7 - 1.0)
-
-
-class TestResetModeConvergence:
-    def test_gap_shrinks_as_dt_halves(self):
-        # single-crossing drive: strong pulse then subthreshold hold
-        def max_gap(dt, tau=1.0, theta=0.5, t_phys=2.0):
-            beta = beta_from_tau(tau, dt)
-            steps = int(round(t_phys / dt))
-            times = np.arange(steps) * dt
-            drive = np.where(times < 0.6, 1.2, 0.2)
-            wx = ((1.0 - beta) * drive)[:, None]
-            u_sub, s_sub = lif_forward(
-                LifParams(beta=beta, theta0=theta, reset_mode=ResetMode.SUBTRACT), wx
-            )
-            u_zero, s_zero = lif_forward(
-                LifParams(beta=beta, theta0=theta, reset_mode=ResetMode.ZERO), wx
-            )
-            assert s_sub.data.sum() == s_zero.data.sum() == 1
-            return float(np.max(np.abs(u_sub.data - u_zero.data)))
-
-        gaps = [max_gap(dt) for dt in (0.02, 0.01, 0.005)]
-        assert gaps[1] < gaps[0]
-        assert gaps[2] < gaps[1]
+        trace, raster, _ = lif_scan(params, wx)
+        assert raster[0, 0] == 1.0
+        assert trace[1, 0] == pytest.approx(1.7 - 1.0)
 
 
 class TestTypeValidation:
@@ -182,10 +158,6 @@ class TestTypeValidation:
         r = SpikeRaster(np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 0.0]]))
         assert (r.t_steps, r.n) == (3, 2)
         assert r.counts() == pytest.approx([2.0, 1.0])
-
-    def test_membrane_trace_rejects_nan(self):
-        with pytest.raises(ValueError):
-            MembraneTrace(np.array([[np.nan]]))
 
     @pytest.mark.parametrize(
         "kwargs",

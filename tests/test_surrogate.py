@@ -7,23 +7,8 @@ from spikegrad.surrogate import (
     SurrogateKind,
     SurrogateVariant,
     sigmoid,
-    spike_forward,
     surrogate_grad,
 )
-
-
-class TestSpikeForward:
-    def test_strict_threshold(self):
-        assert spike_forward(1.0, 1.0) == 0.0
-        assert spike_forward(1.0 + 1e-12, 1.0) == 1.0
-        assert spike_forward(0.0, 1.0) == 0.0
-
-    def test_vectorised_matches_scalar(self):
-        rng = np.random.default_rng(1)
-        u = rng.normal(size=(20, 5))
-        vec = spike_forward(u, 0.3)
-        for idx in np.ndindex(u.shape):
-            assert vec[idx] == spike_forward(float(u[idx]), 0.3)
 
 
 class TestSurrogateValues:
@@ -67,10 +52,10 @@ class TestSurrogateValues:
         scaled = SurrogateKind.hybrid_spike(c=0.05)
         assert surrogate_grad(scaled, np.array([0.2]), 1.0, np.array([0.0]))[0] == 0.05
 
-    def test_hybrid_spike_without_s_recomputes_forward(self):
+    def test_hybrid_spike_without_s_is_rejected(self):
         kind = SurrogateKind.hybrid_spike(c=0.0)
-        u = np.array([0.5, 1.5])
-        assert surrogate_grad(kind, u, 1.0) == pytest.approx([0.0, 1.0])
+        with pytest.raises(ValueError, match="the hybrid surrogate needs the forward spikes s"):
+            surrogate_grad(kind, np.array([0.5, 1.5]), 1.0)
 
     def test_shifted_relu(self):
         kind = SurrogateKind.shifted_relu(scale=0.3)
