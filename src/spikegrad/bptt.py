@@ -138,9 +138,6 @@ class ForwardRecord:
     def output_membrane(self) -> np.ndarray:
         return self.traces[-1].u
 
-    def layer_spike_counts(self) -> list[np.ndarray]:
-        return [tr.s.sum(axis=0) for tr in self.traces]
-
 
 @dataclass(frozen=True)
 class OutputGrads:
@@ -194,18 +191,6 @@ def _previous_step(trace: np.ndarray) -> np.ndarray:
     return np.concatenate((np.zeros_like(trace[:1]), trace[:-1]))
 
 
-def _adjoint_order_sum(steps: np.ndarray) -> np.ndarray:
-    """Sum per-step terms over axis 0 from the last step down to the first.
-
-    ``np.add.accumulate`` adds one row at a time, so the bits equal those of
-    a running total started at 0.0 and updated once per backward step;
-    ``steps.sum(axis=0)`` may switch to pairwise summation and a matmul
-    reorders freely.  The final ``+ 0.0`` stands for that 0.0 start: it only
-    turns a sum of negative zeros into +0.0.
-    """
-    return np.add.accumulate(steps[::-1], axis=0)[-1] + 0.0
-
-
 def backward(
     record: ForwardRecord,
     output_grads: OutputGrads,
@@ -223,10 +208,11 @@ def backward(
     where lam_S collects the direct spike gradient, the next layer's spatial
     adjoint, the explicit-recurrence pathway and (unless detached) the reset
     pathway.  The weight-sharing sums dW = sum_t lam_I[t] x[t]^T, dV and
-    d_beta are then formed from the finished lam_I trace and summed in
-    adjoint order (t = T-1 down to 0), bit for bit as a running total would.
-    That takes two T x N_out x N_in float64 temporaries per layer (64 KB at
-    T = 50, 10 -> 16), and two T x N_out x N_out more when ``v`` is set.
+    d_beta then add the steps from T-1 down onto 0.0 one at a time, bit for
+    bit as a running total would: dW and dV as one einsum over the reversed
+    views, d_beta as np.add.accumulate.  Measured with numpy 2.4.6, the one
+    exception is a 1 x 1 layer at T > 8,192: numpy reduces a single output
+    entry in 8,192-step buffers, so that dW differs at rounding level.
 
     ``extra_spike_grads`` lets callers inject additional per-layer spike
     gradients (the activity regularizers use this); entries may be a T x N
@@ -313,13 +299,13 @@ def backward(
             lam_i[t] = lam_u * (1.0 - s_before[t]) if zero_mode else lam_u
             lam_u_next = lam_u
 
-        grads = LayerGrads(_adjoint_order_sum(lam_i[:, :, None] * tr.x[:, None, :]))
+        grads = LayerGrads(np.einsum("ti,tj->ij", lam_i[::-1], tr.x[::-1]))
         if layer.v is not None:
-            grads.d_v = _adjoint_order_sum(lam_i[:, :, None] * s_before[:, None, :])
+            grads.d_v = np.einsum("ti,tj->ij", lam_i[::-1], s_before[::-1])
         if lif.learn_beta:
-            # lam_I is also d_beta's carrier: without a zero reset it equals lam_U
+            # lam_I is d_beta's carrier (lam_U without a zero reset); + 0.0 makes -0.0 sums +0.0
             dots = np.matmul(lam_i[:, None, :], _previous_step(tr.u)[:, :, None])[:, 0, 0]
-            grads.d_beta = float(_adjoint_order_sum(dots))
+            grads.d_beta = float(np.add.accumulate(dots[::-1])[-1] + 0.0)
         results[l] = grads
         if l > 0:
             back_mat = layer.w.T if feedback is Feedback.SYMMETRIC else layer.feedback_b
@@ -464,7 +450,7 @@ def _sample_pass(model, sample, objective, reg, surrogate, feedback, detach_rese
     )
     extra = None
     if reg is not None and reg.active:
-        penalty, extra = regularize(record.layer_spike_counts(), reg)
+        penalty, extra = regularize([tr.s.sum(axis=0) for tr in record.traces], reg)
         loss += penalty
     grads = backward(
         record,
@@ -594,45 +580,50 @@ def save_checkpoint(model: list[SnnLayer], path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"flags must be 0 or 1, got {text!r}")
+    return text == "1"
+
+
+def _fields(line: str, keyword: str, n: int) -> list[str]:
+    parts = line.split()
+    if len(parts) != n + 1 or parts[0] != keyword:
+        raise ValueError(f"expected a {keyword} line of {n} fields, got {line!r}")
+    return parts[1:]
+
+
 def load_checkpoint(path) -> list[SnnLayer]:
+    """Read a :func:`save_checkpoint` file; a malformed line raises ValueError naming path:line."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or lines[0] != CHECKPOINT_MAGIC:
         raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
     model: list[SnnLayer] = []
     pos = 1
-    while pos < len(lines):
-        if lines[pos] == "":
+    try:
+        while pos < len(lines):
+            if lines[pos] == "":
+                pos += 1
+                continue
+            idx, n_out, n_in, has_v = _fields(lines[pos], "layer", 4)
+            n_out, n_in, has_v = int(n_out), int(n_in), _flag(has_v)
+            if int(idx) != len(model) or min(n_out, n_in) < 1:
+                raise ValueError(f"expected layer {len(model)} with sizes of at least 1, got {lines[pos]!r}")
             pos += 1
-            continue
-        head = lines[pos].split()
-        if len(head) != 5 or head[0] != "layer":
-            raise ValueError(f"{path}:{pos + 1}: expected a layer header, got {lines[pos]!r}")
-        _, idx, n_out, n_in, has_v = head
-        n_out, n_in, has_v = int(n_out), int(n_in), int(has_v)
-        pos += 1
-        lif_parts = lines[pos].split()
-        if len(lif_parts) != 6 or lif_parts[0] != "lif":
-            raise ValueError(f"{path}:{pos + 1}: expected a lif line, got {lines[pos]!r}")
-        lif = LifParams(
-            beta=float(lif_parts[1]),
-            theta0=float(lif_parts[2]),
-            reset_mode=ResetMode(lif_parts[3]),
-            adapt_alpha=float(lif_parts[4]),
-            learn_beta=bool(int(lif_parts[5])),
-        )
-        pos += 1
-        n_w = n_out * n_in
-        n_v = n_out * n_out if has_v else 0
-        vals = lines[pos : pos + n_w + n_v]
-        if len(vals) < n_w + n_v:
-            raise ValueError(f"{path}:{pos + 1}: truncated weight block")
-        try:
-            flat = np.array([float(v) for v in vals], dtype=np.float64)
-        except ValueError as exc:
-            raise ValueError(f"{path}: bad weight value in layer {idx}: {exc}") from exc
-        w = flat[:n_w].reshape(n_out, n_in)
-        v = flat[n_w:].reshape(n_out, n_out) if has_v else None
-        model.append(SnnLayer(w=w, lif=lif, v=v))
-        pos += n_w + n_v
+            beta, theta0, reset, alpha, learn = _fields(lines[pos] if pos < len(lines) else "", "lif", 5)
+            lif = LifParams(float(beta), float(theta0), ResetMode(reset), float(alpha), _flag(learn))
+            pos += 1
+            flat = np.empty(n_out * (n_in + n_out * has_v))
+            if pos + flat.size > len(lines):
+                raise ValueError("truncated weight block")
+            for k in range(flat.size):
+                flat[k] = float(lines[pos])
+                if not np.isfinite(flat[k]):
+                    raise ValueError(f"weights must be finite, got {lines[pos]!r}")
+                pos += 1
+            v = flat[n_out * n_in :].reshape(n_out, n_out) if has_v else None
+            model.append(SnnLayer(w=flat[: n_out * n_in].reshape(n_out, n_in), lif=lif, v=v))
+    except ValueError as exc:
+        raise ValueError(f"{path}:{pos + 1}: {exc}") from None
     return model

@@ -90,6 +90,8 @@ def rate_encode(features, t_steps: int, rng: np.random.Generator) -> SpikeRaster
         raise ValueError(f"features must be a vector, got shape {x.shape}")
     if np.any((x < 0.0) | (x > 1.0)):
         raise ValueError("rate features must lie in [0, 1]")
+    if t_steps < 1:
+        raise ValueError(f"t_steps must be >= 1, got {t_steps}")
     draws = rng.random((t_steps, x.shape[0]))
     return SpikeRaster((draws < x).astype(np.float64))
 

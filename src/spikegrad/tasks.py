@@ -144,9 +144,15 @@ def load_event_dataset(manifest_path) -> Dataset:
                     f"{manifest_path}:{line_no}: expected '<path>,<label>', got {line!r}"
                 )
             path, label = parts[0].strip(), parts[1].strip()
+            try:
+                label = int(label)
+            except ValueError:
+                raise ValueError(
+                    f"{manifest_path}:{line_no}: label must be an integer, got {label!r}"
+                ) from None
             if not os.path.isabs(path):
                 path = os.path.join(base, path)
-            samples.append((load_events(path), int(label)))
+            samples.append((load_events(path), label))
     if not samples:
         raise ValueError(f"{manifest_path}: no samples listed")
     return Dataset(samples=samples)

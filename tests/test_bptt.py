@@ -447,3 +447,42 @@ class TestCheckpoint:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "line_no,text,reason",
+        [
+            (2, "layer 0 2 x 0", "invalid literal for int"),
+            (2, "layer 0 -2 3 0", "expected layer 0 with sizes of at least 1, got 'layer 0 -2 3 0'"),
+            (2, "layer 0 2 3 2", "flags must be 0 or 1, got '2'"),
+            (2, "layer 1 2 3 0", "expected layer 0 with sizes of at least 1, got 'layer 1 2 3 0'"),
+            (2, "layer 0 2 3", "expected a layer line of 4 fields, got 'layer 0 2 3'"),
+            (3, "lif abc 1 subtract 0 0", "could not convert string to float: 'abc'"),
+            (3, "lif 0.9 1 bogus 0 0", "'bogus' is not a valid ResetMode"),
+            (3, "lif 2.0 1 subtract 0 0", r"beta must be in \(0, 1\], got 2.0"),
+            (3, "lif 0.9 1 subtract 0 7", "flags must be 0 or 1, got '7'"),
+            (5, "nan", "weights must be finite, got 'nan'"),
+            (9, "-inf", "weights must be finite, got '-inf'"),
+            (4, "0.1.2", "could not convert string to float: '0.1.2'"),
+        ],
+        ids=[
+            "size-not-int", "negative-size", "v-flag", "layer-index", "field-count",
+            "beta-not-float", "reset-mode", "beta-range", "learn-flag", "nan-weight", "inf-weight",
+            "weight-not-float",
+        ],
+    )
+    def test_malformed_line_is_named(self, tmp_path, line_no, text, reason):
+        rng = np.random.default_rng(0)
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint([SnnLayer.init(3, 2, LifParams(beta=0.9), rng)], path)
+        lines = path.read_text().splitlines()
+        assert len(lines) == 9  # magic, header, lif, six weights
+        lines[line_no - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"ckpt.txt:{line_no}: {reason}"):
+            load_checkpoint(path)
+
+    def test_header_at_end_of_file_names_the_missing_lif_line(self, tmp_path):
+        path = tmp_path / "ckpt.txt"
+        path.write_text("spikegrad-v1\nlayer 0 2 3 0\n")
+        with pytest.raises(ValueError, match="ckpt.txt:3: expected a lif line of 5 fields, got ''"):
+            load_checkpoint(path)

@@ -57,6 +57,11 @@ class TestRateEncode:
         with pytest.raises(ValueError):
             rate_encode(np.array([-0.01]), 10, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("t_steps", (0, -1))
+    def test_rejects_t_steps_below_one(self, t_steps):
+        with pytest.raises(ValueError, match=f"t_steps must be >= 1, got {t_steps}"):
+            rate_encode(np.array([0.5]), t_steps, np.random.default_rng(0))
+
 
 class TestLatencyEncode:
     def test_unit_feature_spikes_at_rounded_log_time(self):

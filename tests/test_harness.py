@@ -199,6 +199,13 @@ class TestEventDataset:
         with pytest.raises(ValueError, match="labels.txt:1"):
             load_event_dataset(manifest)
 
+    def test_non_integer_label_named(self, tmp_path):
+        save_events(SpikeRaster(np.eye(3)), tmp_path / "e.txt")
+        manifest = tmp_path / "labels.txt"
+        manifest.write_text("e.txt,0\ne.txt,abc\n")
+        with pytest.raises(ValueError, match="labels.txt:2: label must be an integer, got 'abc'"):
+            load_event_dataset(manifest)
+
     def test_non_uniform_shapes_rejected(self, tmp_path):
         save_events(SpikeRaster(np.zeros((3, 2))), tmp_path / "a.ev")
         save_events(SpikeRaster(np.zeros((4, 2))), tmp_path / "b.ev")

@@ -170,9 +170,23 @@ VARIANTS = ("plain", "adapt", "attached", "relaxed")
 CASES = list(
     itertools.product(ResetMode, (False, True), (Feedback.SYMMETRIC, Feedback.RANDOM_FIXED), VARIANTS)
 )
+IDS = [f"{r.value}-{'v' if rec else 'nov'}-{fb.value}-{var}" for r, rec, fb, var in CASES]
+
+# Every case runs on the base 5-7-3 stack at T=16.  Extra inputs: every case
+# with 1-wide layers, which change numpy's loop structure in the
+# weight-sharing sums (a 1 x 1 dW or dV has a single output entry), and the
+# plain variant at T=200, far more steps than any other case.
+BASE = ((5, 7, 3), 16)
+SHAPES = [(case, BASE) for case in CASES] + [
+    (case, (sizes, 16)) for sizes in ((1, 1, 1), (5, 1, 3)) for case in CASES
+] + [(case, ((5, 7, 3), 200)) for case in CASES if case[3] == "plain"]
+SHAPE_IDS = [
+    IDS[CASES.index(case)] + ("" if shape == BASE else f"-{'x'.join(map(str, shape[0]))}-T{shape[1]}")
+    for case, shape in SHAPES
+]
 
 
-def _case_model(rng, reset, recurrent, variant, sizes=(5, 7, 3)):
+def _case_model(rng, reset, recurrent, variant, sizes, w_low):
     adapt = 0.4 if variant == "adapt" else 0.0
     model = []
     for l, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
@@ -185,7 +199,7 @@ def _case_model(rng, reset, recurrent, variant, sizes=(5, 7, 3)):
         )
         model.append(
             SnnLayer(
-                w=rng.uniform(-1.0, 1.5, size=(n_out, n_in)),
+                w=rng.uniform(w_low, 1.5, size=(n_out, n_in)),
                 lif=lif,
                 v=rng.uniform(-0.5, 0.5, size=(n_out, n_out)) if recurrent else None,
                 feedback_b=rng.uniform(-1.0, 1.0, size=(n_in, n_out)),
@@ -194,21 +208,16 @@ def _case_model(rng, reset, recurrent, variant, sizes=(5, 7, 3)):
     return model
 
 
-@pytest.mark.parametrize(
-    "reset,recurrent,feedback,variant",
-    CASES,
-    ids=[f"{r.value}-{'v' if rec else 'nov'}-{fb.value}-{var}" for r, rec, fb, var in CASES],
-)
-def test_layer_major_engine_matches_step_major_reference(reset, recurrent, feedback, variant):
-    rng = np.random.default_rng(CASES.index((reset, recurrent, feedback, variant)))
-    model = _case_model(rng, reset, recurrent, variant)
-    t_steps = 16
-    x = (rng.random((t_steps, 5)) < 0.5).astype(np.float64)
+def _assert_engine_matches_reference(
+    rng, reset, recurrent, feedback, variant, t_steps, sizes=(5, 7, 3), w_low=-1.0
+):
+    """Forward traces and every gradient of the engine equal the references bit for bit."""
+    model = _case_model(rng, reset, recurrent, variant, sizes, w_low)
+    x = (rng.random((t_steps, sizes[0])) < 0.5).astype(np.float64)
     slope = 4.0 if variant == "relaxed" else None
 
     record = forward(model, x, relaxed_slope=slope)
     ref_record = _reference_forward(model, x, relaxed_slope=slope)
-    assert sum(float(tr.s.sum()) for tr in record.traces) > 0.0, "case fires no spike"
     for tr, ref in zip(record.traces, ref_record.traces):
         for name in ("u", "s", "x", "theta"):
             assert np.array_equal(getattr(tr, name), getattr(ref, name)), name
@@ -218,9 +227,11 @@ def test_layer_major_engine_matches_step_major_reference(reset, recurrent, feedb
         surrogate=surrogate,
         feedback=feedback,
         detach_reset=variant != "attached",
-        extra_spike_grads=[rng.normal(size=(t_steps, 7)), None],
+        extra_spike_grads=[rng.normal(size=(t_steps, sizes[1])), None],
     )
-    out = OutputGrads(d_spikes=rng.normal(size=(t_steps, 3)), d_membrane=rng.normal(size=(t_steps, 3)))
+    out = OutputGrads(
+        d_spikes=rng.normal(size=(t_steps, sizes[2])), d_membrane=rng.normal(size=(t_steps, sizes[2]))
+    )
     grads = backward(record, out, **kwargs)
     ref_grads = _reference_backward(ref_record, out, **kwargs)
     for g, ref in zip(grads, ref_grads):
@@ -230,42 +241,30 @@ def test_layer_major_engine_matches_step_major_reference(reset, recurrent, feedb
             assert np.array_equal(g.d_v, ref.d_v)
         else:
             assert g.d_v is None and ref.d_v is None
+    return record
+
+
+@pytest.mark.parametrize(
+    "reset,recurrent,feedback,variant,sizes,t_steps",
+    [(*case, *shape) for case, shape in SHAPES],
+    ids=SHAPE_IDS,
+)
+def test_layer_major_engine_matches_step_major_reference(reset, recurrent, feedback, variant, sizes, t_steps):
+    index = CASES.index((reset, recurrent, feedback, variant))
+    rng = np.random.default_rng(index if (sizes, t_steps) == BASE else [index, *sizes, t_steps])
+    # a 1-wide layer gets positive weights, so that it is not silent just
+    # because its one weight was drawn negative
+    w_low = 0.5 if min(sizes) == 1 else -1.0
+    record = _assert_engine_matches_reference(
+        rng, reset, recurrent, feedback, variant, t_steps, sizes, w_low
+    )
+    assert sum(float(tr.s.sum()) for tr in record.traces) > 0.0, "case fires no spike"
 
 
 @pytest.mark.parametrize("t_steps", (1, 2))
-@pytest.mark.parametrize(
-    "reset,recurrent,feedback,variant",
-    CASES,
-    ids=[f"{r.value}-{'v' if rec else 'nov'}-{fb.value}-{var}" for r, rec, fb, var in CASES],
-)
+@pytest.mark.parametrize("reset,recurrent,feedback,variant", CASES, ids=IDS)
 def test_engine_matches_reference_at_short_lengths(reset, recurrent, feedback, variant, t_steps):
     # one and two steps exercise the edges of the adjoint recurrence: no
     # step t+1 at all, and step 0 with no step before it
     rng = np.random.default_rng([t_steps, CASES.index((reset, recurrent, feedback, variant))])
-    model = _case_model(rng, reset, recurrent, variant)
-    x = (rng.random((t_steps, 5)) < 0.5).astype(np.float64)
-    slope = 4.0 if variant == "relaxed" else None
-
-    record = forward(model, x, relaxed_slope=slope)
-    ref_record = _reference_forward(model, x, relaxed_slope=slope)
-    for tr, ref in zip(record.traces, ref_record.traces):
-        for name in ("u", "s", "x", "theta"):
-            assert np.array_equal(getattr(tr, name), getattr(ref, name)), name
-
-    surrogate = SurrogateKind.sigmoid_exact(slope) if slope else SurrogateKind.fast_sigmoid(5.0)
-    kwargs = dict(
-        surrogate=surrogate,
-        feedback=feedback,
-        detach_reset=variant != "attached",
-        extra_spike_grads=[rng.normal(size=(t_steps, 7)), None],
-    )
-    out = OutputGrads(d_spikes=rng.normal(size=(t_steps, 3)), d_membrane=rng.normal(size=(t_steps, 3)))
-    grads = backward(record, out, **kwargs)
-    ref_grads = _reference_backward(ref_record, out, **kwargs)
-    for g, ref in zip(grads, ref_grads):
-        assert np.array_equal(g.d_w, ref.d_w)
-        assert g.d_beta == ref.d_beta
-        if recurrent:
-            assert np.array_equal(g.d_v, ref.d_v)
-        else:
-            assert g.d_v is None and ref.d_v is None
+    _assert_engine_matches_reference(rng, reset, recurrent, feedback, variant, t_steps)
