@@ -128,10 +128,6 @@ class ForwardRecord:
     layers: list[SnnLayer]
     traces: list[_LayerTrace]
 
-    @property
-    def t_steps(self) -> int:
-        return self.traces[0].x.shape[0]
-
     def output_spikes(self) -> np.ndarray:
         return self.traces[-1].s
 
@@ -222,7 +218,7 @@ def backward(
 
     layers = record.layers
     n_layers = len(layers)
-    t_steps = record.t_steps
+    t_steps = record.traces[0].x.shape[0]
 
     if feedback is Feedback.RANDOM_FIXED:
         for l in range(1, n_layers):
@@ -333,8 +329,10 @@ class OptimizerState:
     slots: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.lr >= 0.0:
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
+        if not 0.0 <= self.lr < np.inf:
+            raise ValueError(f"lr must be finite and non-negative, got {self.lr}")
+        if not 0.0 <= self.eps < np.inf:
+            raise ValueError(f"eps must be finite and non-negative, got {self.eps}")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("Adam betas must lie in [0, 1)")
 

@@ -37,10 +37,10 @@ from .codec import ClampMode, DeltaParams, LatencyParams, Polarity, delta_encode
 from .config import ConfigError, RunConfig, _in_section, _Keys, _stdp_params, load_run_config, parse_config_file
 from .events import save_events
 from .gradcheck import SUITES
-from .neuron import SpikeRaster, _as_matrix
+from .neuron import _as_matrix
 from .objectives import ObjectiveKind, ObjectiveSpec, _target_trace, predict_class
 from .online import train_online
-from .plasticity import perturbation_train, stdp_update
+from .plasticity import perturbation_train, stdp_delta_w, stdp_update
 from .spikeprop import DeadNeuronError, SrmNet, find_spike_time, train_spikeprop
 from .tasks import Dataset
 
@@ -308,17 +308,12 @@ def cmd_stdp_demo(args) -> int:
     out_path = os.path.join(out_dir, "stdp_curve.csv")
 
     span = int(params.window)
-    t_steps = 2 * span + 4
-    t_post = span + 2
     with open(out_path, "w", newline="\n") as fh:
         fh.write("delta_t,delta_w\n")
         for dt in range(-span, span + 1):
-            pre = np.zeros((t_steps, 1))
-            post = np.zeros((t_steps, 1))
-            pre[t_post + dt, 0] = 1.0
-            post[t_post, 0] = 1.0
-            w_new = stdp_update(SpikeRaster(pre), SpikeRaster(post), np.zeros((1, 1)), params)
-            fh.write(f"{dt},{float(w_new[0, 0])!r}\n")
+            # one pair from a zero weight: 0.0 + turns a -0.0 change into 0.0, as w + delta does
+            w_new = float(np.clip(0.0 + stdp_delta_w(float(dt), params), params.w_min, params.w_max))
+            fh.write(f"{dt},{w_new!r}\n")
     print(f"wrote {out_path}")
     return 0
 

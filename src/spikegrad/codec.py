@@ -88,7 +88,7 @@ def rate_encode(features, t_steps: int, rng: np.random.Generator) -> SpikeRaster
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"features must be a vector, got shape {x.shape}")
-    if np.any((x < 0.0) | (x > 1.0)):
+    if not np.all((x >= 0.0) & (x <= 1.0)):  # NaN fails too
         raise ValueError("rate features must lie in [0, 1]")
     if t_steps < 1:
         raise ValueError(f"t_steps must be >= 1, got {t_steps}")

@@ -152,7 +152,11 @@ class _Keys:
 
 @dataclass(frozen=True)
 class SpikePropCfg:
-    """Settings of the continuous-time trainer (only read when it is selected)."""
+    """Settings of the continuous-time trainer.
+
+    ``load_run_config`` parses the ``spikeprop.*`` keys whatever the trainer;
+    only the spikeprop trainer uses them, and ``cli._srm_net`` checks their ranges.
+    """
 
     tau: float
     theta: float
@@ -274,6 +278,20 @@ def _stdp_params(keys: _Keys) -> StdpParams:
     )
 
 
+def _reject_ignored(cfg: RunConfig) -> None:
+    """Refuse a setting the chosen trainer would ignore, naming its key."""
+    kind = cfg.trainer_kind
+    # only the bptt adjoint reads these; online always runs w.T with a detached reset
+    if kind != "bptt" and cfg.feedback is Feedback.RANDOM_FIXED:
+        raise ConfigError(f"config key 'trainer.feedback': only bptt uses random_fixed feedback, not {kind}")
+    if kind != "bptt" and not cfg.detach_reset:
+        raise ConfigError(f"config key 'trainer.detach_reset': only bptt can attach the reset pathway, not {kind}")
+    if kind == "spikeprop":
+        for key in ("optimizer.kind", "optimizer.beta1", "optimizer.beta2", "optimizer.eps"):
+            if key in cfg.raw:
+                raise ConfigError(f"config key '{key}': spikeprop runs plain gradient descent on optimizer.lr")
+
+
 def load_run_config(path) -> RunConfig:
     raw = parse_config_file(path)
     keys = _Keys(raw)
@@ -291,10 +309,12 @@ def load_run_config(path) -> RunConfig:
         )
     n_layers = len(layer_sizes) - 1
 
-    tau = keys.float("model.tau", None)
+    tau = keys.float("model.tau")
     betas = _per_layer(keys.float_list("model.beta"), n_layers, "model.beta")
+    if tau is not None and betas is not None:
+        raise ConfigError("config key 'model.tau': set model.tau or model.beta, not both")
     if betas is None:
-        betas = [beta_from_tau(tau) if tau is not None else 0.9] * n_layers
+        betas = [_in_section("model", beta_from_tau, tau=tau) if tau is not None else 0.9] * n_layers
     thetas = _per_layer(keys.float_list("model.theta"), n_layers, "model.theta")
     lif_kw = keys.given(
         reset_mode=("model.reset", ResetMode),
@@ -405,6 +425,7 @@ def load_run_config(path) -> RunConfig:
         spikeprop=spikeprop,
     )
     keys.reject_unknown()
+    _reject_ignored(cfg)
     if cfg.trainer_kind in ("bptt", "perturbation") and objective.kind is ObjectiveKind.MSE_SPIKE_TIME:
         raise ConfigError(
             "config key 'objective.kind': mse_spike_time needs a target time per output neuron, "

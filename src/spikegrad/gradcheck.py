@@ -18,11 +18,11 @@ reused verbatim by the acceptance tests:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bptt import Feedback, OutputGrads, SnnLayer, _trained, backward, forward
+from .bptt import OutputGrads, SnnLayer, _assign_params, _collect_grads, _collect_params, backward, forward
 from .neuron import LifParams, LifState, ResetMode, lif_step
 from .objectives import ce_spike_rate, mse_membrane
 from .online import influence_step, online_grad
@@ -141,31 +141,21 @@ def run_relaxed_fd(seed: int = 0, n_cases: int = 20, eps: float = 1e-5) -> list[
             record, out_grads, surrogate=surrogate, detach_reset=False
         )
 
+        params = _collect_params(model)
         analytic: list[float] = []
         numeric: list[float] = []
 
-        def fd_at(getter, setter):
-            base = getter()
-            setter(base + eps)
-            lp, _, _ = _relaxed_loss(model, x, y_trace, label, slope)
-            setter(base - eps)
-            lm, _, _ = _relaxed_loss(model, x, y_trace, label, slope)
-            setter(base)
-            return (lp - lm) / (2.0 * eps)
+        def loss_at(k, idx, step):
+            moved = params[k].copy()
+            moved[idx] += step
+            _assign_params(model, params[:k] + [moved] + params[k + 1 :])
+            return _relaxed_loss(model, x, y_trace, label, slope)[0]
 
-        for l, layer in enumerate(model):
-            for name in _trained(layer):
-                if name == "beta":
-                    def set_beta(v, layer=layer):
-                        layer.lif = replace(layer.lif, beta=v)
-
-                    analytic.append(grads[l].d_beta)
-                    numeric.append(fd_at(lambda layer=layer: layer.lif.beta, set_beta))
-                    continue
-                param, grad = getattr(layer, name), getattr(grads[l], "d_" + name)
-                for idx in np.ndindex(param.shape):
-                    analytic.append(grad[idx])
-                    numeric.append(fd_at(lambda: param[idx], lambda v, idx=idx: param.__setitem__(idx, v)))
+        for k, grad in enumerate(_collect_grads(model, grads)):
+            for idx in np.ndindex(grad.shape):
+                analytic.append(grad[idx])
+                numeric.append((loss_at(k, idx, eps) - loss_at(k, idx, -eps)) / (2.0 * eps))
+                _assign_params(model, params)
 
         err = max_rel_err(np.array(analytic), np.array(numeric), floor_frac=1e-3)
         results.append(CaseResult(f"relaxed-fd[{case}]", err, 1e-5))

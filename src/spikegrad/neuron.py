@@ -98,7 +98,7 @@ class LifParams:
     """Per-layer neuron constants.
 
     beta        membrane decay per step, in (0, 1]
-    theta0      steady-state firing threshold (> 0)
+    theta0      steady-state firing threshold, finite and > 0
     reset_mode  post-spike reset mechanism
     adapt_alpha decay rate of the adaptive threshold offset, in [0, 1);
                 0 disables adaptation entirely
@@ -114,8 +114,8 @@ class LifParams:
     def __post_init__(self):
         if not (0.0 < self.beta <= 1.0):
             raise ValueError(f"beta must be in (0, 1], got {self.beta}")
-        if not self.theta0 > 0.0:
-            raise ValueError(f"theta0 must be positive, got {self.theta0}")
+        if not 0.0 < self.theta0 < math.inf:
+            raise ValueError(f"theta0 must be finite and positive, got {self.theta0}")
         if not (0.0 <= self.adapt_alpha < 1.0):
             raise ValueError(f"adapt_alpha must be in [0, 1), got {self.adapt_alpha}")
         if not isinstance(self.reset_mode, ResetMode):

@@ -101,6 +101,8 @@ class RegularizerSpec:
     lambda_upper   population penalty once a layer's total count exceeds
                    theta_upper, raised to upper_exponent (1 or 2)
     lambda_lower   per-neuron penalty for firing below theta_lower
+
+    Every weight and threshold must be finite and >= 0.
     """
 
     lambda_l1: float = 0.0
@@ -111,11 +113,9 @@ class RegularizerSpec:
     theta_lower: float = 0.0
 
     def __post_init__(self):
-        for name in ("lambda_l1", "lambda_upper", "lambda_lower"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.theta_upper < 0.0 or self.theta_lower < 0.0:
-            raise ValueError("activity thresholds must be >= 0")
+        for name in ("lambda_l1", "lambda_upper", "theta_upper", "lambda_lower", "theta_lower"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         if self.upper_exponent not in (1, 2):
             raise ValueError(f"upper_exponent must be 1 or 2, got {self.upper_exponent}")
 
@@ -255,18 +255,16 @@ def mse_relative_spike_time(
     return _square_error(y, f)
 
 
-def regularize(layer_activity, spec: RegularizerSpec):
+def regularize(layer_counts, spec: RegularizerSpec):
     """Total activity penalty plus per-layer gradients w.r.t. spike counts.
 
-    ``layer_activity`` is a list with one entry per layer (last = output
-    layer), each either a raster/matrix or a pre-summed count vector.  The
-    L1 term reads only the output layer; the upper (population) and lower
-    (per-neuron) terms apply to every layer.
+    ``layer_counts`` holds one spike-count vector per layer (last = output
+    layer).  The L1 term reads only the output layer; the upper (population)
+    and lower (per-neuron) terms apply to every layer.
     """
-    counts = []
-    for act in layer_activity:
-        arr = np.asarray(act, dtype=np.float64)
-        counts.append(arr.sum(axis=0) if arr.ndim == 2 else arr)
+    counts = [np.asarray(c, dtype=np.float64) for c in layer_counts]
+    if any(c.ndim != 1 for c in counts):
+        raise ValueError("regularize takes one spike-count vector per layer")
 
     penalty = 0.0
     grads = [np.zeros_like(c) for c in counts]
@@ -292,27 +290,20 @@ def regularize(layer_activity, spec: RegularizerSpec):
     return penalty, grads
 
 
-def first_spike_grad_to_raster(
-    d_first_spike: np.ndarray, raster, membrane=None
-) -> np.ndarray:
+def first_spike_grad_to_raster(d_first_spike: np.ndarray, raster, membrane) -> np.ndarray:
     """Map a gradient on first-spike steps onto the spike raster.
 
     Uses the prefix-maximum relaxation f_i = T - sum_t cummax(S_i)[t]: the
     whole subgradient -(T - k_i) lands on neuron i's first spike step k_i.
     A neuron that never fired leaves the prefix maximum tied at zero
-    everywhere, so any step is a valid route; when the membrane trace is
-    supplied the gradient goes to the step of peak membrane (where the
-    neuron came closest to firing and a surrogate can actually act),
-    otherwise to step 0.
+    everywhere, so any step is a valid route; the gradient goes to the step
+    of peak membrane, where the neuron came closest to firing and a
+    surrogate can actually act.
     """
     s = _as_matrix(raster)
     t_steps = s.shape[0]
     f = first_spike_steps(s)
-    silent = f >= t_steps
-    route = np.where(silent, 0.0, f).astype(int)
-    if membrane is not None and silent.any():
-        peak = np.argmax(_as_matrix(membrane), axis=0)
-        route[silent] = peak[silent]
+    route = np.where(f >= t_steps, np.argmax(_as_matrix(membrane), axis=0), f).astype(int)
     grad = np.zeros_like(s)
     grad[route, np.arange(s.shape[1])] = d_first_spike * -(t_steps - route)
     return grad

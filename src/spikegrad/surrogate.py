@@ -40,10 +40,10 @@ class SurrogateVariant(enum.Enum):
 class SurrogateKind:
     """A chosen derivative substitute plus its shape parameters.
 
-    k      slope of the sigmoid-family variants (> 0)
-    c      subthreshold scale of the hybrid variant (>= 0); with c = 0 the
+    k      slope of the sigmoid-family variants (finite, > 0)
+    c      subthreshold scale of the hybrid variant (finite, >= 0); with c = 0 the
            backward derivative is exactly the forward spike
-    scale  constant gradient above threshold for the shifted-ReLU variant
+    scale  constant gradient above threshold for the shifted-ReLU variant (finite)
     """
 
     variant: SurrogateVariant
@@ -52,10 +52,12 @@ class SurrogateKind:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.k <= 0.0:
-            raise ValueError(f"slope k must be positive, got {self.k}")
-        if self.c < 0.0:
-            raise ValueError(f"subthreshold scale must be >= 0, got {self.c}")
+        if not 0.0 < self.k < np.inf:
+            raise ValueError(f"slope k must be finite and positive, got {self.k}")
+        if not 0.0 <= self.c < np.inf:
+            raise ValueError(f"subthreshold scale must be finite and >= 0, got {self.c}")
+        if not np.isfinite(self.scale):
+            raise ValueError(f"scale must be finite, got {self.scale}")
 
     @classmethod
     def heaviside(cls) -> "SurrogateKind":

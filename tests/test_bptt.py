@@ -268,6 +268,16 @@ class TestOptimizer:
         with pytest.raises(ValueError):
             optimizer_step([np.zeros(2)], [np.zeros(3)], OptimizerState.sgd(0.1))
 
+    @pytest.mark.parametrize("lr", [float("inf"), float("nan"), -0.1])
+    def test_lr_must_be_finite_and_non_negative(self, lr):
+        with pytest.raises(ValueError, match=f"lr must be finite and non-negative, got {lr}"):
+            OptimizerState.sgd(lr)
+
+    @pytest.mark.parametrize("eps", [float("inf"), float("nan")])
+    def test_eps_must_be_finite(self, eps):
+        with pytest.raises(ValueError, match=f"eps must be finite and non-negative, got {eps}"):
+            OptimizerState.adam(0.01, eps=eps)
+
 
 class TestTrainBptt:
     def test_zero_lr_keeps_loss_constant(self):
@@ -460,13 +470,14 @@ class TestCheckpoint:
             (3, "lif 0.9 1 bogus 0 0", "'bogus' is not a valid ResetMode"),
             (3, "lif 2.0 1 subtract 0 0", r"beta must be in \(0, 1\], got 2.0"),
             (3, "lif 0.9 1 subtract 0 7", "flags must be 0 or 1, got '7'"),
+            (3, "lif 0.9 inf subtract 0 0", "theta0 must be finite and positive, got inf"),
             (5, "nan", "weights must be finite, got 'nan'"),
             (9, "-inf", "weights must be finite, got '-inf'"),
             (4, "0.1.2", "could not convert string to float: '0.1.2'"),
         ],
         ids=[
             "size-not-int", "negative-size", "v-flag", "layer-index", "field-count",
-            "beta-not-float", "reset-mode", "beta-range", "learn-flag", "nan-weight", "inf-weight",
+            "beta-not-float", "reset-mode", "beta-range", "learn-flag", "inf-theta", "nan-weight", "inf-weight",
             "weight-not-float",
         ],
     )

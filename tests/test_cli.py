@@ -191,12 +191,17 @@ objective.kind = mse_spike_time
         assert not (out / "history.csv").exists()
 
     @pytest.mark.parametrize("extra, message", [
-        ("surrogate.slope = -1\n", "config key 'surrogate.*': slope k must be positive, got -1.0"),
+        ("surrogate.slope = -1\n", "config key 'surrogate.*': slope k must be finite and positive, got -1.0"),
         ("optimizer.beta1 = 1.5\n", "config key 'optimizer.*': Adam betas must lie in [0, 1)"),
         ("reg.lambda_l1 = abc\n", "config key 'reg.lambda_l1': expected a number, got 'abc'"),
         ("model.beta = 0.9,1.5\n", "config key 'model.*', layer 1: beta must be in (0, 1], got 1.5"),
-        ("model.theta = 1,-1\n", "config key 'model.*', layer 1: theta0 must be positive, got -1.0"),
-    ], ids=["surrogate.slope", "optimizer.beta1", "reg.lambda_l1", "model.beta", "model.theta"])
+        ("model.theta = 1,-1\n", "config key 'model.*', layer 1: theta0 must be finite and positive, got -1.0"),
+        ("model.theta = inf\n", "config key 'model.*', layer 0: theta0 must be finite and positive, got inf"),
+        ("surrogate.slope = nan\n", "config key 'surrogate.*': slope k must be finite and positive, got nan"),
+        ("optimizer.lr = inf\n", "config key 'optimizer.*': lr must be finite and non-negative, got inf"),
+        ("reg.lambda_l1 = nan\n", "config key 'reg.*': lambda_l1 must be finite and >= 0, got nan"),
+    ], ids=["surrogate.slope", "optimizer.beta1", "reg.lambda_l1", "model.beta", "model.theta",
+            "model.theta-inf", "surrogate.slope-nan", "optimizer.lr-inf", "reg.lambda_l1-nan"])
     def test_range_error_names_its_config_section(self, tmp_path, capsys, extra, message):
         cfg, out = write_config(tmp_path, RATE_CONFIG + extra)
         assert main(["train", "--config", str(cfg)]) == 2
@@ -209,6 +214,7 @@ objective.kind = mse_spike_time
         (PERTURBATION_CONFIG + "trainer.trials = 0\n", "config key 'trainer.trials': must be at least 1, got 0"),
         (RATE_CONFIG + "trainer.update_policy = per_step\ntrainer.interval = 0\n",
          "config key 'trainer.interval': must be at least 1, got 0"),
+        (RATE_CONFIG.replace("model.beta = 0.9", "model.tau = -1"), "config key 'model.*': tau must be positive, got -1.0"),
         (PERTURBATION_CONFIG + "trainer.sigma = nan\n", "config key 'trainer.sigma': must be finite and >= 0, got nan"),
         (PERTURBATION_CONFIG + "trainer.sigma = -1\n", "config key 'trainer.sigma': must be finite and >= 0, got -1.0"),
         (SPIKEPROP_CONFIG.replace("spikeprop.tau = 1.0", "spikeprop.tau = -1"),
@@ -217,13 +223,35 @@ objective.kind = mse_spike_time
          "config key 'spikeprop.*': dt_fine must be at most tau/100 for reliable bracketing"),
         (SPIKEPROP_CONFIG + "spikeprop.theta = 0\n",
          "config key 'spikeprop.*': theta of output neuron 0 is 0.0; it must be finite and positive"),
-    ], ids=["train.epochs", "train.batch_size", "trainer.trials", "trainer.interval", "trainer.sigma-nan",
+    ], ids=["train.epochs", "train.batch_size", "trainer.trials", "trainer.interval", "model.tau", "trainer.sigma-nan",
             "trainer.sigma-negative", "spikeprop.tau", "spikeprop.dt_fine", "spikeprop.theta"])
     def test_bad_value_names_its_key(self, tmp_path, capsys, text, message):
         cfg, out = write_config(tmp_path, text)
         assert main(["train", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "history.csv").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        (RATE_CONFIG + "model.tau = 5\n", "config key 'model.tau': set model.tau or model.beta, not both"),
+        (ONLINE_CONFIG + "trainer.detach_reset = 0\n",
+         "config key 'trainer.detach_reset': only bptt can attach the reset pathway, not online"),
+        (ONLINE_CONFIG + "trainer.feedback = random_fixed\n",
+         "config key 'trainer.feedback': only bptt uses random_fixed feedback, not online"),
+        (SPIKEPROP_CONFIG + "optimizer.kind = sgd\n",
+         "config key 'optimizer.kind': spikeprop runs plain gradient descent on optimizer.lr"),
+        (SPIKEPROP_CONFIG + "optimizer.beta1 = 0.5\n",
+         "config key 'optimizer.beta1': spikeprop runs plain gradient descent on optimizer.lr"),
+        (SPIKEPROP_CONFIG + "optimizer.beta2 = 0.5\n",
+         "config key 'optimizer.beta2': spikeprop runs plain gradient descent on optimizer.lr"),
+        (SPIKEPROP_CONFIG + "optimizer.eps = 1e-6\n",
+         "config key 'optimizer.eps': spikeprop runs plain gradient descent on optimizer.lr"),
+    ], ids=["model.tau-with-beta", "online-detach_reset", "online-feedback", "spikeprop-optimizer.kind",
+            "spikeprop-optimizer.beta1", "spikeprop-optimizer.beta2", "spikeprop-optimizer.eps"])
+    def test_key_the_trainer_ignores_is_an_error(self, tmp_path, capsys, text, message):
+        cfg, out = write_config(tmp_path, text)
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_interval_without_per_step_names_both_keys(self, tmp_path, capsys):
         cfg, out = write_config(tmp_path, ONLINE_CONFIG + "trainer.interval = 5\n")
@@ -362,6 +390,14 @@ class TestEncodeCommand:
         ]) == 0
         assert load_events(out).data[1, 0] == 1.0
         assert load_events(off).data[2, 0] == 1.0
+
+    def test_rate_encode_rejects_nan_feature(self, tmp_path, capsys):
+        features = tmp_path / "f.csv"
+        features.write_text("nan,0.5\n")
+        args = ["encode", "--scheme", "rate", "--in", str(features), "--out", str(tmp_path / "x.ev"), "--t-steps", "5"]
+        assert main(args) == 2
+        assert capsys.readouterr().err == "error: rate features must lie in [0, 1]\n"
+        assert not (tmp_path / "x.ev").exists()
 
     def test_missing_feature_file(self, tmp_path, capsys):
         assert main(["encode", "--scheme", "rate", "--in", str(tmp_path / "x.csv"), "--out", str(tmp_path / "y.ev")]) == 2

@@ -57,6 +57,10 @@ class TestRateEncode:
         with pytest.raises(ValueError):
             rate_encode(np.array([-0.01]), 10, np.random.default_rng(0))
 
+    def test_rejects_nan_feature(self):
+        with pytest.raises(ValueError, match=r"rate features must lie in \[0, 1\]"):
+            rate_encode(np.array([np.nan, 0.5]), 10, np.random.default_rng(0))
+
     @pytest.mark.parametrize("t_steps", (0, -1))
     def test_rejects_t_steps_below_one(self, t_steps):
         with pytest.raises(ValueError, match=f"t_steps must be >= 1, got {t_steps}"):

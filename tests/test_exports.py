@@ -25,3 +25,13 @@ def test_package_exports_only_listed_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(exported - listed) == []
+
+
+# the modules the package re-exports; config, gradcheck and cli stay behind their module names
+RE_EXPORTED = ("neuron", "surrogate", "codec", "objectives", "bptt", "online", "spikeprop", "plasticity", "events", "tasks")
+
+
+@pytest.mark.parametrize("name", RE_EXPORTED)
+def test_package_exports_every_listed_name(name):
+    module = importlib.import_module(f"spikegrad.{name}")
+    assert [n for n in module.__all__ if getattr(spikegrad, n, None) is not getattr(module, n)] == []

@@ -390,7 +390,7 @@ optimizer.lr = 0.05
 optimizer.beta1 = 0.8
 optimizer.beta2 = 0.99
 optimizer.eps = 1e-6
-trainer.kind = online
+trainer.kind = bptt
 trainer.update_policy = per_step
 trainer.interval = 5
 trainer.feedback = random_fixed
@@ -425,7 +425,7 @@ spikeprop.target_incorrect = 3.5
             )
 
         self.assert_resolves_to(cfg, {
-            "trainer_kind": "online",
+            "trainer_kind": "bptt",
             "layer_sizes": [4, 6, 2],
             "lif_params": [lif(1.25), lif(0.75)],
             "recurrent": [True, False],

@@ -165,6 +165,8 @@ class TestTypeValidation:
             {"beta": 0.0},
             {"beta": 1.5},
             {"beta": 0.9, "theta0": 0.0},
+            {"beta": 0.9, "theta0": float("inf")},
+            {"beta": 0.9, "theta0": float("nan")},
             {"beta": 0.9, "adapt_alpha": 1.0},
             {"beta": 0.9, "adapt_alpha": -0.1},
         ],

@@ -300,12 +300,9 @@ class TestRegularize:
         assert penalty == 0.0
         assert np.all(grads[0] == 0.0)
 
-    def test_accepts_rasters(self):
-        raster = np.zeros((10, 2))
-        raster[:3, 0] = 1.0
-        spec = RegularizerSpec(lambda_l1=1.0)
-        penalty, _ = regularize([raster], spec)
-        assert penalty == pytest.approx(3.0)
+    def test_rejects_rasters(self):
+        with pytest.raises(ValueError, match="one spike-count vector per layer"):
+            regularize([np.zeros(3), np.zeros((10, 2))], RegularizerSpec(lambda_l1=1.0))
 
     def test_gradient_matches_finite_differences_away_from_kinks(self):
         spec = RegularizerSpec(
@@ -321,7 +318,15 @@ class TestRegularize:
         with pytest.raises(ValueError):
             RegularizerSpec(lambda_l1=-1.0)
         with pytest.raises(ValueError):
+            RegularizerSpec(theta_lower=-1.0)
+        with pytest.raises(ValueError):
             RegularizerSpec(upper_exponent=3)
+
+    @pytest.mark.parametrize("name", ["lambda_l1", "lambda_upper", "theta_upper", "lambda_lower", "theta_lower"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and >= 0, got {value}"):
+            RegularizerSpec(**{name: value})
 
 
 class TestFirstSpikeGradRouting:
@@ -329,7 +334,7 @@ class TestFirstSpikeGradRouting:
         s = np.zeros((8, 2))
         s[3, 0] = s[6, 0] = 1.0  # first spike at 3
         s[1, 1] = 1.0
-        grad = first_spike_grad_to_raster(np.array([2.0, -1.0]), s)
+        grad = first_spike_grad_to_raster(np.array([2.0, -1.0]), s, membrane=np.ones((8, 2)))
         expected = np.zeros((8, 2))
         expected[3, 0] = 2.0 * -(8 - 3)
         expected[1, 1] = -1.0 * -(8 - 1)

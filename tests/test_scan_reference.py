@@ -85,7 +85,7 @@ def _reference_forward(model, inputs, relaxed_slope=None):
 def _reference_backward(record, output_grads, surrogate, feedback, detach_reset, extra_spike_grads):
     layers = record.layers
     n_layers = len(layers)
-    t_steps = record.t_steps
+    t_steps = record.traces[0].x.shape[0]
 
     results = [None] * n_layers
     downstream = None

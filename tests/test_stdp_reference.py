@@ -5,6 +5,8 @@ verbatim copies of the earlier implementation, which looped over every
 (post, pre) neuron pair and called `stdp_delta_w` once per spike pair.
 Multi-pair sums are now added in a different order, so the comparison is
 relative to the largest reference change; single pairs must match exactly.
+`_ref_stdp_curve` is a verbatim copy of the earlier ``stdp-demo`` loop, which
+ran `stdp_update` on a one-pre, one-post raster pair for every gap.
 """
 
 import math
@@ -12,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from spikegrad.cli import main
 from spikegrad.neuron import SpikeRaster, _as_matrix
 from spikegrad.plasticity import Pairing, StdpParams, stdp_delta_w, stdp_update
 
@@ -125,3 +128,40 @@ def test_single_pair_demo_curve_is_exact():
 def test_mismatched_step_counts_rejected():
     with pytest.raises(ValueError, match="30 steps.*31"):
         stdp_update(np.zeros((30, 2)), np.zeros((31, 1)), np.zeros((1, 2)), StdpParams())
+
+
+def _ref_stdp_curve(params: StdpParams, out_path) -> None:
+    span = int(params.window)
+    t_steps = 2 * span + 4
+    t_post = span + 2
+    with open(out_path, "w", newline="\n") as fh:
+        fh.write("delta_t,delta_w\n")
+        for dt in range(-span, span + 1):
+            pre = np.zeros((t_steps, 1))
+            post = np.zeros((t_steps, 1))
+            pre[t_post + dt, 0] = 1.0
+            post[t_post, 0] = 1.0
+            w_new = stdp_update(SpikeRaster(pre), SpikeRaster(post), np.zeros((1, 1)), params)
+            fh.write(f"{dt},{float(w_new[0, 0])!r}\n")
+
+
+@pytest.mark.parametrize("pairing", list(Pairing))
+@pytest.mark.parametrize("fields", [
+    {},
+    {"window": 0.0},
+    {"window": 1.0, "a_plus": 1.0, "a_minus": -1.0, "tau_plus": 10.0, "tau_minus": 10.0},
+    {"window": 5.0, "w_min": -0.005, "w_max": 0.004},
+    {"window": 20.7, "a_plus": 0.0, "a_minus": -0.0, "w_min": -math.inf, "w_max": math.inf},
+    {"window": 30.0, "a_plus": -0.0, "a_minus": 0.0, "tau_plus": 3.0, "tau_minus": 0.7},
+    {"window": 12.0, "a_plus": -0.02, "a_minus": 0.03, "w_min": 0.0, "w_max": 0.0},
+], ids=["defaults", "window-0", "window-1", "tight-bounds", "zero-amplitudes", "signed-zeros", "inverted"])
+def test_demo_curve_file_matches_raster_pairs(tmp_path, pairing, fields):
+    params = StdpParams(pairing=pairing, **{"w_min": -1.0, "w_max": 1.0, **fields})
+    cfg = tmp_path / "demo.cfg"
+    cfg.write_text("".join(
+        f"stdp.{name} = {value.value if isinstance(value, Pairing) else repr(value)}\n"
+        for name, value in vars(params).items()
+    ) + f"train.out_dir = {tmp_path}\n")
+    assert main(["stdp-demo", "--config", str(cfg)]) == 0
+    _ref_stdp_curve(params, tmp_path / "ref.csv")
+    assert (tmp_path / "stdp_curve.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -98,3 +98,18 @@ class TestKindValidation:
     def test_subthreshold_scale_nonnegative(self):
         with pytest.raises(ValueError):
             SurrogateKind.hybrid_spike(c=-0.1)
+
+    @pytest.mark.parametrize("k", [float("nan"), float("inf")])
+    def test_slope_must_be_finite(self, k):
+        with pytest.raises(ValueError, match=f"slope k must be finite and positive, got {k}"):
+            SurrogateKind.fast_sigmoid(k)
+
+    @pytest.mark.parametrize("c", [float("nan"), float("inf")])
+    def test_subthreshold_scale_must_be_finite(self, c):
+        with pytest.raises(ValueError, match=f"subthreshold scale must be finite and >= 0, got {c}"):
+            SurrogateKind.hybrid_spike(c=c)
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf")])
+    def test_shifted_relu_scale_must_be_finite(self, scale):
+        with pytest.raises(ValueError, match=f"scale must be finite, got {scale}"):
+            SurrogateKind.shifted_relu(scale)
