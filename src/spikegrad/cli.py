@@ -34,7 +34,7 @@ from .bptt import (
     train_bptt,
 )
 from .codec import ClampMode, DeltaParams, LatencyParams, Polarity, delta_encode, latency_encode, rate_encode
-from .config import ConfigError, RunConfig, _in_section, _Keys, _stdp_params, load_run_config, parse_config_file
+from .config import ConfigError, RunConfig, _Keys, _stdp_params, load_run_config, parse_config_file
 from .events import save_events
 from .gradcheck import SUITES
 from .neuron import _as_matrix
@@ -71,33 +71,16 @@ def _raster_to_times(raster, dt: float) -> list[np.ndarray]:
     return [np.nonzero(data[:, i])[0].astype(np.float64) * dt for i in range(data.shape[1])]
 
 
-def _srm_net(cfg: RunConfig) -> SrmNet:
-    """The SpikeProp net of the config, its spikeprop.* settings checked."""
-    sp = cfg.spikeprop
-    if len(cfg.layer_sizes) != 2:
-        raise ConfigError("config key 'model.layers': spikeprop uses a single weight layer")
-    rng = np.random.default_rng(cfg.seed)
-    n_in, n_out = cfg.layer_sizes
-    return _in_section(
-        "spikeprop", SrmNet,
-        w=rng.uniform(0.5, 1.5, size=(n_out, n_in)) * (2.0 / n_in),
-        tau=sp.tau,
-        theta=sp.theta,
-        t_end=sp.t_end,
-        dt_fine=sp.dt_fine,
-    )
-
-
 def _train_spikeprop(cfg: RunConfig, net: SrmNet) -> TrainHistory:
     """Train the SrmNet on the spike times; only the last row has an accuracy, of the final weights."""
-    sp = cfg.spikeprop
+    correct, incorrect = cfg.spike_targets
     n_out = net.w.shape[0]
     dt = net.dt_fine
     samples = []
     for x, label in cfg.dataset.samples:
         presyn = _raster_to_times(x, dt)
-        targets = np.full(n_out, sp.target_incorrect)
-        targets[int(label)] = sp.target_correct
+        targets = np.full(n_out, incorrect)
+        targets[int(label)] = correct
         samples.append((presyn, targets))
 
     sp_rows = train_spikeprop(net, samples, lr=cfg.optimizer.lr, epochs=cfg.epochs).rows
@@ -193,11 +176,11 @@ def _train_bptt(cfg: RunConfig, model):
     )
 
 
-# trainer.kind -> trainer(cfg, model) of the configured layer stack, for every
-# kind in config.TRAINER_KINDS but spikeprop
-_LAYER_TRAINERS = {
+# trainer.kind -> trainer(cfg, model), for every kind in config.TRAINER_KINDS
+_TRAINERS = {
     "bptt": _train_bptt,
     "online": _train_online_dataset,
+    "spikeprop": _train_spikeprop,
     "stdp": _train_stdp_dataset,
     "perturbation": _train_perturbation,
 }
@@ -205,16 +188,13 @@ _LAYER_TRAINERS = {
 
 def cmd_train(args) -> int:
     cfg = load_run_config(args.config)
-    if cfg.trainer_kind == "spikeprop":  # trains its own SrmNet, which has no checkpoint format
-        model, train = _srm_net(cfg), _train_spikeprop
-    else:
-        model, train = cfg.build_model(np.random.default_rng(cfg.seed)), _LAYER_TRAINERS[cfg.trainer_kind]
-    history = train(cfg, model)
+    model = cfg.build_model(np.random.default_rng(cfg.seed))
+    history = _TRAINERS[cfg.trainer_kind](cfg, model)
 
     # made only now, so a run that fails to train leaves no out_dir behind
     os.makedirs(cfg.out_dir, exist_ok=True)
     history.write_csv(os.path.join(cfg.out_dir, "history.csv"))
-    if cfg.trainer_kind != "spikeprop":
+    if cfg.trainer_kind != "spikeprop":  # an SrmNet has no checkpoint format
         save_checkpoint(model, os.path.join(cfg.out_dir, "checkpoint.txt"))
     cfg.write_resolved(os.path.join(cfg.out_dir, "config.txt"))
     last = history.rows[-1]
@@ -227,6 +207,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = load_run_config(args.config)
+    if cfg.trainer_kind == "spikeprop":
+        raise ConfigError("config key 'trainer.kind': spikeprop writes no checkpoint for eval to score")
     model = load_checkpoint(args.checkpoint)
     accuracy, rows, mean_spikes = _eval_model(model, cfg.dataset, cfg.objective)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -299,7 +281,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_stdp_demo(args) -> int:
     keys = _Keys(parse_config_file(args.config))
-    params = _stdp_params(keys)
+    params = _stdp_params(keys, demo=True)
     out_dir = keys.str("train.out_dir", ".")
     keys.reject_unknown()
     if not np.isfinite(params.window):

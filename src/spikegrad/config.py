@@ -19,13 +19,17 @@ Example::
     train.out_dir = runs/rate
 
 Unknown keys are rejected by name, as are missing required ones, so a typo
-never silently falls back to a default.  `#` starts a comment.
+never silently falls back to a default.  Each trainer reads only its own
+sections (README has the table), and a key that the chosen trainer does not
+read is unknown: ``unknown config key 'stdp.a_plus' for trainer.kind = bptt``.
+`#` starts a comment.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +37,7 @@ from .bptt import Feedback, OptimizerKind, OptimizerState, SnnLayer
 from .neuron import LifParams, ResetMode, _as_matrix, beta_from_tau
 from .objectives import Inversion, ObjectiveKind, ObjectiveSpec, RegularizerSpec
 from .plasticity import Pairing, StdpParams
+from .spikeprop import SrmNet
 from .surrogate import SurrogateKind, SurrogateVariant
 from .tasks import Dataset, gen_latency_task, gen_rate_task, load_event_dataset
 
@@ -144,68 +149,57 @@ class _Keys:
             if key in self.raw
         }
 
-    def reject_unknown(self) -> None:
+    def reject_unknown(self, where: str = "") -> None:
         unknown = sorted(set(self.raw) - self.used)
         if unknown:
-            raise ConfigError(f"unknown config key '{unknown[0]}'")
-
-
-@dataclass(frozen=True)
-class SpikePropCfg:
-    """Settings of the continuous-time trainer.
-
-    ``load_run_config`` parses the ``spikeprop.*`` keys whatever the trainer;
-    only the spikeprop trainer uses them, and ``cli._srm_net`` checks their ranges.
-    """
-
-    tau: float
-    theta: float
-    t_end: float
-    dt_fine: float | None
-    target_correct: float
-    target_incorrect: float
+            raise ConfigError(f"unknown config key '{unknown[0]}'{where}")
 
 
 @dataclass
 class RunConfig:
-    """Everything a training or evaluation run needs, resolved and validated."""
+    """Everything a training or evaluation run needs, resolved and validated.
+
+    A field that the chosen trainer does not read is None.
+    """
 
     raw: dict[str, str]
     trainer_kind: str
     dataset: Dataset
     layer_sizes: list[int]
-    lif_params: list[LifParams]
-    recurrent: list[bool]
-    objective: ObjectiveSpec
-    regularizer: RegularizerSpec
-    surrogate: SurrogateKind
-    feedback: Feedback
-    detach_reset: bool
-    optimizer: OptimizerState
     epochs: int
-    batch_size: int
     seed: int
     out_dir: str
-    update_interval: float  # online steps per update; inf defers it to the stream end
-    stdp: StdpParams
-    perturb_sigma: float
-    perturb_trials: int
-    spikeprop: SpikePropCfg
+    lif_params: list[LifParams] | None = None
+    recurrent: list[bool] | None = None
+    objective: ObjectiveSpec | None = None  # only its kind for stdp, which eval decodes with
+    regularizer: RegularizerSpec | None = None
+    surrogate: SurrogateKind | None = None
+    feedback: Feedback | None = None
+    detach_reset: bool | None = None
+    optimizer: OptimizerState | None = None  # plain gradient descent on optimizer.lr for spikeprop
+    batch_size: int | None = None
+    update_interval: float | None = None  # online steps per update; inf defers it to the stream end
+    stdp: StdpParams | None = None
+    perturb_sigma: float | None = None
+    perturb_trials: int | None = None
+    srm_net: SrmNet | None = None  # spikeprop's net, drawn from train.seed at load
+    spike_targets: tuple[float, float] | None = None  # spikeprop's (correct, incorrect) output times
 
-    def build_model(self, rng: np.random.Generator) -> list[SnnLayer]:
-        layers = []
-        for l in range(len(self.layer_sizes) - 1):
-            layers.append(
-                SnnLayer.init(
-                    n_in=self.layer_sizes[l],
-                    n_out=self.layer_sizes[l + 1],
-                    lif=self.lif_params[l],
-                    rng=rng,
-                    recurrent=self.recurrent[l],
-                    random_feedback=self.feedback is Feedback.RANDOM_FIXED,
-                )
+    def build_model(self, rng: np.random.Generator) -> list[SnnLayer] | SrmNet:
+        """A fresh model: the LIF layer stack drawn from rng, or a copy of spikeprop's net."""
+        if self.srm_net is not None:
+            return copy.deepcopy(self.srm_net)
+        return [
+            SnnLayer.init(
+                n_in=self.layer_sizes[l],
+                n_out=self.layer_sizes[l + 1],
+                lif=self.lif_params[l],
+                rng=rng,
+                recurrent=self.recurrent[l],
+                random_feedback=self.feedback is Feedback.RANDOM_FIXED,
             )
-        return layers
+            for l in range(len(self.layer_sizes) - 1)
+        ]
 
     def write_resolved(self, path) -> None:
         with open(path, "w", newline="\n") as fh:
@@ -261,54 +255,25 @@ def _in_section(section: str, build, layer: int | None = None, **kwargs):
         raise ConfigError(f"config key '{section}.*'{where}: {exc}") from exc
 
 
-def _stdp_params(keys: _Keys) -> StdpParams:
-    """The pairing-rule settings, shared by training runs and ``stdp-demo``."""
+def _stdp_params(keys: _Keys, demo: bool = False) -> StdpParams:
+    """The pairing-rule settings.  Training reads stdp.window only for all_pairs, the
+    one rule that applies it; ``stdp-demo`` reads it under both, as its range of gaps."""
+    kw = keys.given(
+        a_plus=("stdp.a_plus", float),
+        a_minus=("stdp.a_minus", float),
+        tau_plus=("stdp.tau_plus", float),
+        tau_minus=("stdp.tau_minus", float),
+        pairing=("stdp.pairing", Pairing),
+    )
+    if demo or kw.get("pairing") is not Pairing.NEAREST_NEIGHBOR:
+        kw |= keys.given(window=("stdp.window", float))
     return _in_section(
-        "stdp", StdpParams,
-        w_min=keys.float("stdp.w_min", -1.0),
-        w_max=keys.float("stdp.w_max", 1.0),
-        **keys.given(
-            a_plus=("stdp.a_plus", float),
-            a_minus=("stdp.a_minus", float),
-            tau_plus=("stdp.tau_plus", float),
-            tau_minus=("stdp.tau_minus", float),
-            pairing=("stdp.pairing", Pairing),
-            window=("stdp.window", float),
-        ),
+        "stdp", StdpParams, w_min=keys.float("stdp.w_min", -1.0), w_max=keys.float("stdp.w_max", 1.0), **kw
     )
 
 
-def _reject_ignored(cfg: RunConfig) -> None:
-    """Refuse a setting the chosen trainer would ignore, naming its key."""
-    kind = cfg.trainer_kind
-    # only the bptt adjoint reads these; online always runs w.T with a detached reset
-    if kind != "bptt" and cfg.feedback is Feedback.RANDOM_FIXED:
-        raise ConfigError(f"config key 'trainer.feedback': only bptt uses random_fixed feedback, not {kind}")
-    if kind != "bptt" and not cfg.detach_reset:
-        raise ConfigError(f"config key 'trainer.detach_reset': only bptt can attach the reset pathway, not {kind}")
-    if kind == "spikeprop":
-        for key in ("optimizer.kind", "optimizer.beta1", "optimizer.beta2", "optimizer.eps"):
-            if key in cfg.raw:
-                raise ConfigError(f"config key '{key}': spikeprop runs plain gradient descent on optimizer.lr")
-
-
-def load_run_config(path) -> RunConfig:
-    raw = parse_config_file(path)
-    keys = _Keys(raw)
-
-    dataset = _build_dataset(keys)
-
-    layer_sizes = keys.int_list("model.layers", required=True)
-    if len(layer_sizes) < 2:
-        raise ConfigError("config key 'model.layers': need at least input and output sizes")
-    n_features = _as_matrix(dataset.samples[0][0]).shape[1]
-    if layer_sizes[0] != n_features:
-        raise ConfigError(
-            f"config key 'model.layers': first size {layer_sizes[0]} "
-            f"does not match the task's {n_features} inputs"
-        )
-    n_layers = len(layer_sizes) - 1
-
+def _lif_layers(keys: _Keys, n_layers: int) -> tuple[list[LifParams], list[bool]]:
+    """The model.* settings: each layer's LifParams and recurrence flag."""
     tau = keys.float("model.tau")
     betas = _per_layer(keys.float_list("model.beta"), n_layers, "model.beta")
     if tau is not None and betas is not None:
@@ -329,109 +294,131 @@ def load_run_config(path) -> RunConfig:
         )
         for l in range(n_layers)
     ]
+    return lif_params, recurrent
 
-    objective = ObjectiveSpec(
-        kind=keys.choice("objective.kind", ObjectiveKind, required=True),
-        **keys.given(
-            inversion=("objective.inversion", Inversion),
-            f0=("objective.f0", float),
-            gamma=("objective.gamma", float),
-            count_target_correct=("objective.count_target_correct", float),
-            count_target_incorrect=("objective.count_target_incorrect", float),
-            membrane_target_correct=("objective.membrane_target_correct", float),
-            membrane_target_incorrect=("objective.membrane_target_incorrect", float),
-        ),
-    )
 
-    regularizer = _in_section(
-        "reg", RegularizerSpec,
-        **keys.given(
-            lambda_l1=("reg.lambda_l1", float),
-            lambda_upper=("reg.lambda_upper", float),
-            theta_upper=("reg.theta_upper", float),
-            upper_exponent=("reg.upper_exponent", int),
-            lambda_lower=("reg.lambda_lower", float),
-            theta_lower=("reg.theta_lower", float),
-        ),
-    )
+def load_run_config(path) -> RunConfig:
+    """Read the run config; the chosen trainer reads only its own keys, and any other key is an error."""
+    raw = parse_config_file(path)
+    keys = _Keys(raw)
 
-    surrogate = _in_section(
-        "surrogate", SurrogateKind,
-        variant=keys.choice(
-            "surrogate.kind",
-            {v.value: v for v in SurrogateVariant if v is not SurrogateVariant.SIGMOID_EXACT},
-            default=SurrogateVariant.FAST_SIGMOID,
-        ),
-        **keys.given(
-            k=("surrogate.slope", float),
-            c=("surrogate.subthreshold_scale", float),
-            scale=("surrogate.scale", float),
-        ),
-    )
+    dataset = _build_dataset(keys)
 
-    optimizer = _in_section(
-        "optimizer", OptimizerState,
-        kind=keys.choice("optimizer.kind", OptimizerKind, default=OptimizerKind.ADAM),
-        lr=keys.float("optimizer.lr", 1e-3),
-        **keys.given(
-            beta1=("optimizer.beta1", float),
-            beta2=("optimizer.beta2", float),
-            eps=("optimizer.eps", float),
-        ),
-    )
-
-    if keys.choice("trainer.update_policy", {"deferred": False, "per_step": True}, default=False):
-        update_interval = keys.int("trainer.interval", 1, minimum=1)
-    elif "trainer.interval" in raw:
-        raise ConfigError("config key 'trainer.interval': only read with trainer.update_policy = per_step")
-    else:
-        update_interval = math.inf
-
-    sp_tau = keys.float("spikeprop.tau", 1.0)
-    spikeprop = SpikePropCfg(
-        tau=sp_tau,
-        theta=keys.float("spikeprop.theta", 1.0),
-        t_end=keys.float("spikeprop.t_end", 6.0 * sp_tau),
-        dt_fine=keys.float("spikeprop.dt_fine", None),
-        target_correct=keys.float("spikeprop.target_correct", 1.0 * sp_tau),
-        target_incorrect=keys.float("spikeprop.target_incorrect", 3.0 * sp_tau),
-    )
-
-    sigma = keys.float("trainer.sigma", 0.01)
-    if not (np.isfinite(sigma) and sigma >= 0.0):
-        raise ConfigError(f"config key 'trainer.sigma': must be finite and >= 0, got {sigma}")
-
+    layer_sizes = keys.int_list("model.layers", required=True)
+    if len(layer_sizes) < 2:
+        raise ConfigError("config key 'model.layers': need at least input and output sizes")
+    n_features = _as_matrix(dataset.samples[0][0]).shape[1]
+    if layer_sizes[0] != n_features:
+        raise ConfigError(
+            f"config key 'model.layers': first size {layer_sizes[0]} "
+            f"does not match the task's {n_features} inputs"
+        )
+    kind = keys.choice("trainer.kind", {k: k for k in TRAINER_KINDS}, default="bptt")
     cfg = RunConfig(
         raw=raw,
-        trainer_kind=keys.choice("trainer.kind", {k: k for k in TRAINER_KINDS}, default="bptt"),
+        trainer_kind=kind,
         dataset=dataset,
         layer_sizes=layer_sizes,
-        lif_params=lif_params,
-        recurrent=recurrent,
-        objective=objective,
-        regularizer=regularizer,
-        surrogate=surrogate,
-        feedback=keys.choice("trainer.feedback", Feedback, default=Feedback.SYMMETRIC),
-        detach_reset=keys.flag("trainer.detach_reset", True),
-        optimizer=optimizer,
         epochs=keys.int("train.epochs", 1, minimum=1),
-        batch_size=keys.int("train.batch_size", 32, minimum=1),
         seed=keys.int("train.seed", 0),
         out_dir=keys.str("train.out_dir", "."),
-        update_interval=update_interval,
-        stdp=_stdp_params(keys),
-        perturb_sigma=sigma,
-        perturb_trials=keys.int("trainer.trials", 100, minimum=1),
-        spikeprop=spikeprop,
     )
-    keys.reject_unknown()
-    _reject_ignored(cfg)
-    if cfg.trainer_kind in ("bptt", "perturbation") and objective.kind is ObjectiveKind.MSE_SPIKE_TIME:
+
+    if kind != "spikeprop":
+        cfg.lif_params, cfg.recurrent = _lif_layers(keys, len(layer_sizes) - 1)
+        cfg.objective = ObjectiveSpec(
+            kind=keys.choice("objective.kind", ObjectiveKind, required=True),
+            **({} if kind == "stdp" else keys.given(
+                inversion=("objective.inversion", Inversion),
+                f0=("objective.f0", float),
+                gamma=("objective.gamma", float),
+                count_target_correct=("objective.count_target_correct", float),
+                count_target_incorrect=("objective.count_target_incorrect", float),
+                membrane_target_correct=("objective.membrane_target_correct", float),
+                membrane_target_incorrect=("objective.membrane_target_incorrect", float),
+            )),
+        )
+
+    if kind in ("bptt", "online"):
+        cfg.surrogate = _in_section(
+            "surrogate", SurrogateKind,
+            variant=keys.choice(
+                "surrogate.kind",
+                {v.value: v for v in SurrogateVariant if v is not SurrogateVariant.SIGMOID_EXACT},
+                default=SurrogateVariant.FAST_SIGMOID,
+            ),
+            **keys.given(
+                k=("surrogate.slope", float),
+                c=("surrogate.subthreshold_scale", float),
+                scale=("surrogate.scale", float),
+            ),
+        )
+        cfg.optimizer = _in_section(
+            "optimizer", OptimizerState,
+            kind=keys.choice("optimizer.kind", OptimizerKind, default=OptimizerKind.ADAM),
+            lr=keys.float("optimizer.lr", 1e-3),
+            **keys.given(
+                beta1=("optimizer.beta1", float),
+                beta2=("optimizer.beta2", float),
+                eps=("optimizer.eps", float),
+            ),
+        )
+
+    if kind == "bptt":
+        cfg.regularizer = _in_section(
+            "reg", RegularizerSpec,
+            **keys.given(
+                lambda_l1=("reg.lambda_l1", float),
+                lambda_upper=("reg.lambda_upper", float),
+                theta_upper=("reg.theta_upper", float),
+                upper_exponent=("reg.upper_exponent", int),
+                lambda_lower=("reg.lambda_lower", float),
+                theta_lower=("reg.theta_lower", float),
+            ),
+        )
+        cfg.batch_size = keys.int("train.batch_size", 32, minimum=1)
+        cfg.feedback = keys.choice("trainer.feedback", Feedback, default=Feedback.SYMMETRIC)
+        cfg.detach_reset = keys.flag("trainer.detach_reset", True)
+    elif kind == "online":
+        if keys.choice("trainer.update_policy", {"deferred": False, "per_step": True}, default=False):
+            cfg.update_interval = keys.int("trainer.interval", 1, minimum=1)
+        elif "trainer.interval" in raw:
+            raise ConfigError("config key 'trainer.interval': only read with trainer.update_policy = per_step")
+        else:
+            cfg.update_interval = math.inf
+    elif kind == "stdp":
+        cfg.stdp = _stdp_params(keys)
+    elif kind == "perturbation":
+        cfg.perturb_sigma = keys.float("trainer.sigma", 0.01)
+        if not (np.isfinite(cfg.perturb_sigma) and cfg.perturb_sigma >= 0.0):
+            raise ConfigError(f"config key 'trainer.sigma': must be finite and >= 0, got {cfg.perturb_sigma}")
+        cfg.perturb_trials = keys.int("trainer.trials", 100, minimum=1)
+    else:  # spikeprop
+        if len(layer_sizes) != 2:
+            raise ConfigError("config key 'model.layers': spikeprop uses a single weight layer")
+        n_in, n_out = layer_sizes
+        tau = keys.float("spikeprop.tau", 1.0)
+        cfg.srm_net = _in_section(
+            "spikeprop", SrmNet,
+            w=np.random.default_rng(cfg.seed).uniform(0.5, 1.5, size=(n_out, n_in)) * (2.0 / n_in),
+            tau=tau,
+            theta=keys.float("spikeprop.theta", 1.0),
+            t_end=keys.float("spikeprop.t_end", 6.0 * tau),
+            dt_fine=keys.float("spikeprop.dt_fine"),
+        )
+        cfg.spike_targets = (
+            keys.float("spikeprop.target_correct", required=True),
+            keys.float("spikeprop.target_incorrect", required=True),
+        )
+        cfg.optimizer = _in_section("optimizer", OptimizerState.sgd, lr=keys.float("optimizer.lr", 1e-3))
+
+    keys.reject_unknown(f" for trainer.kind = {kind}")
+    if kind in ("bptt", "perturbation") and cfg.objective.kind is ObjectiveKind.MSE_SPIKE_TIME:
         raise ConfigError(
             "config key 'objective.kind': mse_spike_time needs a target time per output neuron, "
             "but config tasks give class labels"
         )
-    if cfg.trainer_kind != "stdp":  # every other trainer reads a label as an output index
+    if kind != "stdp":  # every other trainer reads a label as an output index
         for index, (_, label) in enumerate(dataset.samples):
             if not 0 <= label < layer_sizes[-1]:
                 raise ConfigError(

@@ -29,14 +29,22 @@ train.seed = 7
 """
 
 
-ONLINE_CONFIG = RATE_CONFIG.replace("trainer.kind = bptt", "trainer.kind = online").replace(
+
+
+def without(text, *prefixes):
+    """The config text without the lines whose key starts with one of the prefixes."""
+    return "".join(line + "\n" for line in text.splitlines() if not line.startswith(prefixes))
+
+
+# each trainer's config sets only keys that trainer reads
+ONLINE_CONFIG = without(RATE_CONFIG, "train.batch_size").replace("trainer.kind = bptt", "trainer.kind = online").replace(
     "objective.kind = ce_spike_rate", "objective.kind = mse_spike_rate"
 )
-STDP_CONFIG = RATE_CONFIG.replace("trainer.kind = bptt", "trainer.kind = stdp").replace(
-    "model.layers = 4,6,2", "model.layers = 4,3"
-)
+STDP_CONFIG = without(RATE_CONFIG, "train.batch_size", "optimizer.").replace(
+    "trainer.kind = bptt", "trainer.kind = stdp"
+).replace("model.layers = 4,6,2", "model.layers = 4,3")
 PERTURBATION_CONFIG = (
-    RATE_CONFIG.replace("trainer.kind = bptt", "trainer.kind = perturbation")
+    without(RATE_CONFIG, "train.batch_size", "optimizer.").replace("trainer.kind = bptt", "trainer.kind = perturbation")
     + "trainer.sigma = 0.05\ntrainer.trials = 10\n"
 )
 SPIKEPROP_CONFIG = """
@@ -48,7 +56,6 @@ task.samples_per_class = 2
 task.jitter = 0
 model.layers = 4,2
 trainer.kind = spikeprop
-objective.kind = mse_spike_time
 optimizer.lr = 0.002
 train.epochs = 2
 spikeprop.tau = 1.0
@@ -111,45 +118,22 @@ class TestTrainCommand:
         assert "model.bogus" in capsys.readouterr().err
 
     def test_online_trainer_runs(self, tmp_path):
-        text = RATE_CONFIG.replace("trainer.kind = bptt", "trainer.kind = online")
-        text = text.replace("objective.kind = ce_spike_rate", "objective.kind = mse_spike_rate")
-        cfg, out = write_config(tmp_path, text)
+        cfg, out = write_config(tmp_path, ONLINE_CONFIG)
         assert main(["train", "--config", str(cfg)]) == 0
         assert len((out / "history.csv").read_text().splitlines()) == 4
 
     def test_stdp_trainer_runs(self, tmp_path):
-        text = RATE_CONFIG.replace("trainer.kind = bptt", "trainer.kind = stdp")
-        text = text.replace("model.layers = 4,6,2", "model.layers = 4,3")
-        cfg, out = write_config(tmp_path, text)
+        cfg, out = write_config(tmp_path, STDP_CONFIG)
         assert main(["train", "--config", str(cfg)]) == 0
         assert len((out / "history.csv").read_text().splitlines()) == 4
 
     def test_perturbation_trainer_runs(self, tmp_path):
-        text = RATE_CONFIG.replace("trainer.kind = bptt", "trainer.kind = perturbation")
-        text += "trainer.sigma = 0.05\ntrainer.trials = 10\n"
-        cfg, out = write_config(tmp_path, text)
+        cfg, out = write_config(tmp_path, PERTURBATION_CONFIG)
         assert main(["train", "--config", str(cfg)]) == 0
         assert len((out / "history.csv").read_text().splitlines()) == 4
 
     def test_spikeprop_trainer_runs(self, tmp_path):
-        text = """
-task.kind = latency
-task.n_inputs = 4
-task.t_steps = 20
-task.n_classes = 2
-task.samples_per_class = 2
-task.jitter = 0
-model.layers = 4,2
-trainer.kind = spikeprop
-objective.kind = mse_spike_time
-optimizer.lr = 0.002
-train.epochs = 2
-spikeprop.tau = 1.0
-spikeprop.t_end = 8.0
-spikeprop.target_correct = 1.0
-spikeprop.target_incorrect = 2.5
-"""
-        cfg, out = write_config(tmp_path, text)
+        cfg, out = write_config(tmp_path, SPIKEPROP_CONFIG)
         assert main(["train", "--config", str(cfg)]) == 0
         assert len((out / "history.csv").read_text().splitlines()) == 3
 
@@ -170,7 +154,8 @@ task.n_classes = 2
 task.samples_per_class = 2
 model.layers = 4,2
 trainer.kind = spikeprop
-objective.kind = mse_spike_time
+spikeprop.target_correct = 1.0
+spikeprop.target_incorrect = 3.0
 """
         cfg, _ = write_config(tmp_path, text)
         assert main(["train", "--config", str(cfg)]) == 1
@@ -182,7 +167,7 @@ objective.kind = mse_spike_time
         from spikegrad import cli
         from spikegrad.config import TRAINER_KINDS
 
-        assert set(cli._LAYER_TRAINERS) | {"spikeprop"} == set(TRAINER_KINDS) == set(TRAINER_CONFIGS)
+        assert set(cli._TRAINERS) == set(TRAINER_KINDS) == set(TRAINER_CONFIGS)
 
     def test_infinite_stdp_amplitude_is_an_error(self, tmp_path, capsys):
         cfg, out = write_config(tmp_path, STDP_CONFIG + "stdp.a_plus = inf\n")
@@ -212,7 +197,7 @@ objective.kind = mse_spike_time
         (RATE_CONFIG + "train.epochs = 0\n", "config key 'train.epochs': must be at least 1, got 0"),
         (RATE_CONFIG + "train.batch_size = -1\n", "config key 'train.batch_size': must be at least 1, got -1"),
         (PERTURBATION_CONFIG + "trainer.trials = 0\n", "config key 'trainer.trials': must be at least 1, got 0"),
-        (RATE_CONFIG + "trainer.update_policy = per_step\ntrainer.interval = 0\n",
+        (ONLINE_CONFIG + "trainer.update_policy = per_step\ntrainer.interval = 0\n",
          "config key 'trainer.interval': must be at least 1, got 0"),
         (RATE_CONFIG.replace("model.beta = 0.9", "model.tau = -1"), "config key 'model.*': tau must be positive, got -1.0"),
         (PERTURBATION_CONFIG + "trainer.sigma = nan\n", "config key 'trainer.sigma': must be finite and >= 0, got nan"),
@@ -223,35 +208,56 @@ objective.kind = mse_spike_time
          "config key 'spikeprop.*': dt_fine must be at most tau/100 for reliable bracketing"),
         (SPIKEPROP_CONFIG + "spikeprop.theta = 0\n",
          "config key 'spikeprop.*': theta of output neuron 0 is 0.0; it must be finite and positive"),
+        (RATE_CONFIG + "model.tau = 5\n", "config key 'model.tau': set model.tau or model.beta, not both"),
+        (SPIKEPROP_CONFIG.replace("spikeprop.target_correct = 1.0\n", ""),
+         "missing required config key 'spikeprop.target_correct'"),
+        (SPIKEPROP_CONFIG.replace("spikeprop.target_incorrect = 2.5\n", ""),
+         "missing required config key 'spikeprop.target_incorrect'"),
     ], ids=["train.epochs", "train.batch_size", "trainer.trials", "trainer.interval", "model.tau", "trainer.sigma-nan",
-            "trainer.sigma-negative", "spikeprop.tau", "spikeprop.dt_fine", "spikeprop.theta"])
+            "trainer.sigma-negative", "spikeprop.tau", "spikeprop.dt_fine", "spikeprop.theta", "model.tau-with-beta",
+            "spikeprop.target_correct", "spikeprop.target_incorrect"])
     def test_bad_value_names_its_key(self, tmp_path, capsys, text, message):
         cfg, out = write_config(tmp_path, text)
         assert main(["train", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (out / "history.csv").exists()
 
-    @pytest.mark.parametrize("text, message", [
-        (RATE_CONFIG + "model.tau = 5\n", "config key 'model.tau': set model.tau or model.beta, not both"),
-        (ONLINE_CONFIG + "trainer.detach_reset = 0\n",
-         "config key 'trainer.detach_reset': only bptt can attach the reset pathway, not online"),
-        (ONLINE_CONFIG + "trainer.feedback = random_fixed\n",
-         "config key 'trainer.feedback': only bptt uses random_fixed feedback, not online"),
-        (SPIKEPROP_CONFIG + "optimizer.kind = sgd\n",
-         "config key 'optimizer.kind': spikeprop runs plain gradient descent on optimizer.lr"),
-        (SPIKEPROP_CONFIG + "optimizer.beta1 = 0.5\n",
-         "config key 'optimizer.beta1': spikeprop runs plain gradient descent on optimizer.lr"),
-        (SPIKEPROP_CONFIG + "optimizer.beta2 = 0.5\n",
-         "config key 'optimizer.beta2': spikeprop runs plain gradient descent on optimizer.lr"),
-        (SPIKEPROP_CONFIG + "optimizer.eps = 1e-6\n",
-         "config key 'optimizer.eps': spikeprop runs plain gradient descent on optimizer.lr"),
-    ], ids=["model.tau-with-beta", "online-detach_reset", "online-feedback", "spikeprop-optimizer.kind",
-            "spikeprop-optimizer.beta1", "spikeprop-optimizer.beta2", "spikeprop-optimizer.eps"])
-    def test_key_the_trainer_ignores_is_an_error(self, tmp_path, capsys, text, message):
-        cfg, out = write_config(tmp_path, text)
+    @pytest.mark.parametrize("kind, line", [
+        # the six keys of other trainers that bptt once accepted without effect
+        ("bptt", "trainer.sigma = 0.3"),
+        ("bptt", "trainer.trials = 5"),
+        ("bptt", "stdp.a_plus = 0.5"),
+        ("bptt", "trainer.update_policy = per_step"),
+        ("bptt", "trainer.interval = 3"),
+        ("bptt", "spikeprop.tau = 4"),
+        ("online", "train.batch_size = 4"),
+        ("online", "trainer.detach_reset = 0"),
+        ("online", "trainer.feedback = random_fixed"),
+        ("stdp", "optimizer.lr = 0.001"),
+        ("stdp", "objective.f0 = 0.5"),
+        ("perturbation", "reg.lambda_l1 = 0.01"),
+        ("perturbation", "surrogate.slope = 5"),
+        ("spikeprop", "model.beta = 0.9"),
+        ("spikeprop", "objective.kind = mse_spike_time"),
+        ("spikeprop", "optimizer.kind = sgd"),
+        ("spikeprop", "optimizer.beta1 = 0.5"),
+        ("spikeprop", "optimizer.beta2 = 0.5"),
+        ("spikeprop", "optimizer.eps = 1e-6"),
+    ], ids=lambda v: v.split(" = ")[0])
+    def test_key_the_trainer_ignores_is_an_error(self, tmp_path, capsys, kind, line):
+        cfg, out = write_config(tmp_path, TRAINER_CONFIGS[kind] + line + "\n")
         assert main(["train", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        key = line.split(" = ")[0]
+        assert capsys.readouterr().err == f"error: unknown config key '{key}' for trainer.kind = {kind}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("pairing, code", [("all_pairs", 0), ("nearest_neighbor", 2)])
+    def test_stdp_window_only_with_all_pairs(self, tmp_path, capsys, pairing, code):
+        cfg, out = write_config(tmp_path, STDP_CONFIG + f"stdp.pairing = {pairing}\nstdp.window = 1\n")
+        assert main(["train", "--config", str(cfg)]) == code
+        if code:
+            assert capsys.readouterr().err == "error: unknown config key 'stdp.window' for trainer.kind = stdp\n"
+        assert out.exists() == (code == 0)
 
     def test_interval_without_per_step_names_both_keys(self, tmp_path, capsys):
         cfg, out = write_config(tmp_path, ONLINE_CONFIG + "trainer.interval = 5\n")
@@ -298,7 +304,9 @@ objective.kind = mse_spike_time
         assert not out.exists()
 
     def test_online_objective_without_a_step_form_makes_no_out_dir(self, tmp_path, capsys):
-        cfg, out = write_config(tmp_path, RATE_CONFIG.replace("trainer.kind = bptt", "trainer.kind = online"))
+        cfg, out = write_config(
+            tmp_path, ONLINE_CONFIG.replace("objective.kind = mse_spike_rate", "objective.kind = ce_spike_rate")
+        )
         assert main(["train", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == (
             "error: config key 'objective.kind': online training needs mse_membrane or mse_spike_rate\n"
@@ -352,6 +360,14 @@ class TestEvalCommand:
         rows = (out / "eval.csv").read_text().splitlines()
         assert rows[0] == "sample,label,prediction,spikes"
         assert len(rows) == 1 + 8  # 4 samples per class x 2 classes
+
+    def test_spikeprop_config_is_an_error(self, tmp_path, capsys):
+        cfg, out = write_config(tmp_path, SPIKEPROP_CONFIG)
+        assert main(["eval", "--checkpoint", str(tmp_path / "checkpoint.txt"), "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: config key 'trainer.kind': spikeprop writes no checkpoint for eval to score\n"
+        )
+        assert not out.exists()
 
 
 class TestEncodeCommand:

@@ -10,11 +10,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spikegrad.bptt import Feedback, OptimizerKind, OptimizerState
-from spikegrad.config import ConfigError, SpikePropCfg, load_run_config, parse_config_file
+from spikegrad.config import TRAINER_KINDS, ConfigError, load_run_config, parse_config_file
 from spikegrad.events import EventFormatError, load_events, save_events
 from spikegrad.neuron import LifParams, ResetMode, SpikeRaster, beta_from_tau
 from spikegrad.objectives import Inversion, ObjectiveKind, ObjectiveSpec, RegularizerSpec
 from spikegrad.plasticity import Pairing, StdpParams
+from spikegrad.spikeprop import SrmNet
 from spikegrad.surrogate import SurrogateKind, SurrogateVariant
 from spikegrad.tasks import Dataset, gen_latency_task, gen_rate_task, load_event_dataset
 
@@ -289,7 +290,7 @@ class TestConfig:
             f"task.kind = events\ntask.manifest = {tmp_path / 'labels.txt'}\ntask.n_classes = 2\n"
             "model.layers = 4,2\nobjective.kind = ce_spike_rate\n"
         ))
-        with pytest.raises(ConfigError, match=r"^unknown config key 'task.n_classes'$"):
+        with pytest.raises(ConfigError, match=r"^unknown config key 'task.n_classes' for trainer.kind = bptt$"):
             load_run_config(path)
 
     def test_malformed_line_names_line(self, tmp_path):
@@ -316,19 +317,31 @@ task.samples_per_class = 3
 model.layers = 4,6,2
 objective.kind = ce_spike_rate
 """
+    # spikeprop: one weight layer, no objective.kind, and its two required target keys
+    SPIKEPROP_MINIMAL = MINIMAL_CONFIG.replace("model.layers = 4,6,2", "model.layers = 4,2").replace(
+        "objective.kind = ce_spike_rate\n", "spikeprop.target_correct = 1.5\nspikeprop.target_incorrect = 3\n"
+    )
+
+    def minimal(self, kind):
+        return (self.SPIKEPROP_MINIMAL if kind == "spikeprop" else self.MINIMAL_CONFIG) + f"trainer.kind = {kind}\n"
 
     def assert_resolves_to(self, cfg, expected):
+        """Every field but dataset and raw: the expected value, or None for a field the trainer does not read."""
         names = {f.name for f in dataclasses.fields(cfg)} - {"dataset", "raw"}
-        assert set(expected) == names
+        assert set(expected) <= names
         for name in sorted(names):
-            assert repr(getattr(cfg, name)) == repr(expected[name]), name
+            assert repr(getattr(cfg, name)) == repr(expected.get(name)), name
 
-    def test_minimal_config_resolves_every_default(self, tmp_path):
-        cfg = load_run_config(self.write(tmp_path, self.MINIMAL_CONFIG))
+    @staticmethod
+    def srm_net(seed, n_in, n_out, **kw):
+        w = np.random.default_rng(seed).uniform(0.5, 1.5, size=(n_out, n_in)) * (2.0 / n_in)
+        return SrmNet(w=w, **kw)
+
+    @pytest.mark.parametrize("kind", TRAINER_KINDS)
+    def test_minimal_config_resolves_every_default(self, tmp_path, kind):
+        cfg = load_run_config(self.write(tmp_path, self.minimal(kind)))
         lif = LifParams(beta=0.9, theta0=1.0, reset_mode=ResetMode.SUBTRACT, adapt_alpha=0.0, learn_beta=False)
-        self.assert_resolves_to(cfg, {
-            "trainer_kind": "bptt",
-            "layer_sizes": [4, 6, 2],
+        layers = {
             "lif_params": [lif, lif],
             "recurrent": [False, False],
             "objective": ObjectiveSpec(
@@ -336,38 +349,50 @@ objective.kind = ce_spike_rate
                 count_target_correct=None, count_target_incorrect=None,
                 membrane_target_correct=None, membrane_target_incorrect=0.0,
             ),
-            "regularizer": RegularizerSpec(
-                lambda_l1=0.0, lambda_upper=0.0, theta_upper=0.0, upper_exponent=2,
-                lambda_lower=0.0, theta_lower=0.0,
-            ),
+        }
+        gradient = {
             "surrogate": SurrogateKind(SurrogateVariant.FAST_SIGMOID, k=25.0, c=0.0, scale=1.0),
-            "feedback": Feedback.SYMMETRIC,
-            "detach_reset": True,
             "optimizer": OptimizerState(OptimizerKind.ADAM, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8),
-            "epochs": 1,
-            "batch_size": 32,
-            "seed": 0,
-            "out_dir": ".",
-            "update_interval": math.inf,
-            "stdp": StdpParams(
-                a_plus=0.01, a_minus=-0.012, tau_plus=20.0, tau_minus=20.0, w_min=-1.0, w_max=1.0,
-                pairing=Pairing.ALL_PAIRS, window=100.0,
-            ),
-            "perturb_sigma": 0.01,
-            "perturb_trials": 100,
-            "spikeprop": SpikePropCfg(
-                tau=1.0, theta=1.0, t_end=6.0, dt_fine=None, target_correct=1.0, target_incorrect=3.0
-            ),
+        }
+        own = {
+            "bptt": layers | gradient | {
+                "regularizer": RegularizerSpec(
+                    lambda_l1=0.0, lambda_upper=0.0, theta_upper=0.0, upper_exponent=2,
+                    lambda_lower=0.0, theta_lower=0.0,
+                ),
+                "feedback": Feedback.SYMMETRIC,
+                "detach_reset": True,
+                "batch_size": 32,
+            },
+            "online": layers | gradient | {"update_interval": math.inf},
+            "stdp": layers | {
+                "stdp": StdpParams(
+                    a_plus=0.01, a_minus=-0.012, tau_plus=20.0, tau_minus=20.0, w_min=-1.0, w_max=1.0,
+                    pairing=Pairing.ALL_PAIRS, window=100.0,
+                ),
+            },
+            "perturbation": layers | {"perturb_sigma": 0.01, "perturb_trials": 100},
+            "spikeprop": {
+                "layer_sizes": [4, 2],
+                "optimizer": OptimizerState(OptimizerKind.SGD, lr=0.001),
+                "srm_net": self.srm_net(0, 4, 2, tau=1.0, theta=1.0, t_end=6.0, dt_fine=0.001),
+                "spike_targets": (1.5, 3.0),
+            },
+        }[kind]
+        self.assert_resolves_to(cfg, {
+            "trainer_kind": kind, "layer_sizes": [4, 6, 2], "epochs": 1, "seed": 0, "out_dir": ".", **own
         })
 
-    def test_every_optional_key_resolves_to_its_value(self, tmp_path):
-        text = self.MINIMAL_CONFIG + """
+    # the optional keys of each section, and the trainers that read them
+    MODEL_KEYS = """
 model.tau = 7.5
 model.theta = 1.25,0.75
 model.reset = zero
 model.adapt_alpha = 0.3
 model.learn_beta = yes
 model.recurrent = 1,0
+"""
+    OBJECTIVE_KEYS = """
 objective.inversion = reciprocal
 objective.f0 = 0.5
 objective.gamma = 0.25
@@ -375,12 +400,8 @@ objective.count_target_correct = 5
 objective.count_target_incorrect = 1
 objective.membrane_target_correct = 1.5
 objective.membrane_target_incorrect = 0.125
-reg.lambda_l1 = 0.01
-reg.lambda_upper = 0.02
-reg.theta_upper = 3
-reg.upper_exponent = 1
-reg.lambda_lower = 0.03
-reg.theta_lower = 0.5
+"""
+    GRADIENT_KEYS = """
 surrogate.kind = hybrid_spike
 surrogate.slope = 10
 surrogate.subthreshold_scale = 0.2
@@ -390,17 +411,24 @@ optimizer.lr = 0.05
 optimizer.beta1 = 0.8
 optimizer.beta2 = 0.99
 optimizer.eps = 1e-6
-trainer.kind = bptt
-trainer.update_policy = per_step
-trainer.interval = 5
+"""
+    OWN_KEYS = {
+        "bptt": MODEL_KEYS + OBJECTIVE_KEYS + GRADIENT_KEYS + """
+reg.lambda_l1 = 0.01
+reg.lambda_upper = 0.02
+reg.theta_upper = 3
+reg.upper_exponent = 1
+reg.lambda_lower = 0.03
+reg.theta_lower = 0.5
 trainer.feedback = random_fixed
 trainer.detach_reset = off
-trainer.sigma = 0.2
-trainer.trials = 7
-train.epochs = 3
 train.batch_size = 5
-train.seed = 11
-train.out_dir = runs/all
+""",
+        "online": MODEL_KEYS + OBJECTIVE_KEYS + GRADIENT_KEYS + """
+trainer.update_policy = per_step
+trainer.interval = 5
+""",
+        "stdp": MODEL_KEYS + """
 stdp.a_plus = 0.5
 stdp.a_minus = -0.25
 stdp.tau_plus = 4
@@ -408,14 +436,23 @@ stdp.tau_minus = 6
 stdp.w_min = -3
 stdp.w_max = 2
 stdp.pairing = nearest_neighbor
-stdp.window = 12
+""",
+        "perturbation": MODEL_KEYS + OBJECTIVE_KEYS + """
+trainer.sigma = 0.2
+trainer.trials = 7
+""",
+        "spikeprop": """
+optimizer.lr = 0.05
 spikeprop.tau = 2
 spikeprop.theta = 1.5
 spikeprop.t_end = 9
 spikeprop.dt_fine = 0.001
-spikeprop.target_correct = 1.25
-spikeprop.target_incorrect = 3.5
-"""
+""",
+    }
+
+    @pytest.mark.parametrize("kind", TRAINER_KINDS)
+    def test_every_optional_key_resolves_to_its_value(self, tmp_path, kind):
+        text = self.minimal(kind) + self.OWN_KEYS[kind] + "train.epochs = 3\ntrain.seed = 11\ntrain.out_dir = runs/all\n"
         cfg = load_run_config(self.write(tmp_path, text))
 
         def lif(theta0):
@@ -424,36 +461,58 @@ spikeprop.target_incorrect = 3.5
                 adapt_alpha=0.3, learn_beta=True,
             )
 
-        self.assert_resolves_to(cfg, {
-            "trainer_kind": "bptt",
-            "layer_sizes": [4, 6, 2],
-            "lif_params": [lif(1.25), lif(0.75)],
-            "recurrent": [True, False],
+        layers = {"lif_params": [lif(1.25), lif(0.75)], "recurrent": [True, False]}
+        objective = {
             "objective": ObjectiveSpec(
                 kind=ObjectiveKind.CE_SPIKE_RATE, inversion=Inversion.RECIPROCAL, f0=0.5, gamma=0.25,
                 count_target_correct=5.0, count_target_incorrect=1.0,
                 membrane_target_correct=1.5, membrane_target_incorrect=0.125,
             ),
-            "regularizer": RegularizerSpec(
-                lambda_l1=0.01, lambda_upper=0.02, theta_upper=3.0, upper_exponent=1,
-                lambda_lower=0.03, theta_lower=0.5,
-            ),
+        }
+        gradient = {
             "surrogate": SurrogateKind(SurrogateVariant.HYBRID_SPIKE, k=10.0, c=0.2, scale=2.0),
-            "feedback": Feedback.RANDOM_FIXED,
-            "detach_reset": False,
             "optimizer": OptimizerState(OptimizerKind.SGD, lr=0.05, beta1=0.8, beta2=0.99, eps=1e-6),
-            "epochs": 3,
-            "batch_size": 5,
-            "seed": 11,
-            "out_dir": "runs/all",
-            "update_interval": 5,
-            "stdp": StdpParams(
-                a_plus=0.5, a_minus=-0.25, tau_plus=4.0, tau_minus=6.0, w_min=-3.0, w_max=2.0,
-                pairing=Pairing.NEAREST_NEIGHBOR, window=12.0,
-            ),
-            "perturb_sigma": 0.2,
-            "perturb_trials": 7,
-            "spikeprop": SpikePropCfg(
-                tau=2.0, theta=1.5, t_end=9.0, dt_fine=0.001, target_correct=1.25, target_incorrect=3.5
-            ),
+        }
+        own = {
+            "bptt": layers | objective | gradient | {
+                "regularizer": RegularizerSpec(
+                    lambda_l1=0.01, lambda_upper=0.02, theta_upper=3.0, upper_exponent=1,
+                    lambda_lower=0.03, theta_lower=0.5,
+                ),
+                "feedback": Feedback.RANDOM_FIXED,
+                "detach_reset": False,
+                "batch_size": 5,
+            },
+            "online": layers | objective | gradient | {"update_interval": 5},
+            "stdp": layers | {
+                "objective": ObjectiveSpec(kind=ObjectiveKind.CE_SPIKE_RATE),
+                "stdp": StdpParams(
+                    a_plus=0.5, a_minus=-0.25, tau_plus=4.0, tau_minus=6.0, w_min=-3.0, w_max=2.0,
+                    pairing=Pairing.NEAREST_NEIGHBOR,
+                ),
+            },
+            "perturbation": layers | objective | {"perturb_sigma": 0.2, "perturb_trials": 7},
+            "spikeprop": {
+                "layer_sizes": [4, 2],
+                "optimizer": OptimizerState(OptimizerKind.SGD, lr=0.05),
+                "srm_net": self.srm_net(11, 4, 2, tau=2.0, theta=1.5, t_end=9.0, dt_fine=0.001),
+                "spike_targets": (1.5, 3.0),
+            },
+        }[kind]
+        self.assert_resolves_to(cfg, {
+            "trainer_kind": kind, "layer_sizes": [4, 6, 2], "epochs": 3, "seed": 11, "out_dir": "runs/all", **own
         })
+
+    def test_stdp_window_is_read_for_all_pairs_only(self, tmp_path):
+        text = self.minimal("stdp") + "stdp.window = 12\n"
+        assert load_run_config(self.write(tmp_path, text)).stdp.window == 12.0
+        path = self.write(tmp_path, text + "stdp.pairing = nearest_neighbor\n")
+        with pytest.raises(ConfigError, match=r"^unknown config key 'stdp.window' for trainer.kind = stdp$"):
+            load_run_config(path)
+
+    def test_spikeprop_net_is_a_fresh_copy_per_build(self, tmp_path):
+        cfg = load_run_config(self.write(tmp_path, self.minimal("spikeprop")))
+        net = cfg.build_model(np.random.default_rng(0))
+        net.w += 1.0
+        assert np.array_equal(cfg.build_model(np.random.default_rng(0)).w, cfg.srm_net.w)
+        assert not np.array_equal(net.w, cfg.srm_net.w)
