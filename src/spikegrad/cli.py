@@ -54,8 +54,7 @@ def _eval_model(model, dataset: Dataset, objective: ObjectiveSpec):
         pred = predict_class(objective, record.output_spikes())
         spikes = sum(float(tr.s.sum()) for tr in record.traces)
         total_spikes += spikes
-        label = int(target) if isinstance(target, (int, np.integer)) else -1
-        rows.append((label, pred, spikes))
+        rows.append((int(target), pred, spikes))  # config tasks give class labels
     accuracy = _accuracy((pred for _, pred, _ in rows), (t for _, t in dataset.samples))
     return accuracy, rows, total_spikes / len(dataset.samples)
 
@@ -98,22 +97,17 @@ def _train_spikeprop(cfg: RunConfig, net: SrmNet) -> TrainHistory:
 
 
 def _train_online_dataset(cfg: RunConfig, model):
-    """Epoch loop over per-sample streams with per-step spike targets."""
-    if cfg.objective.kind not in (ObjectiveKind.MSE_MEMBRANE, ObjectiveKind.MSE_SPIKE_RATE):
-        raise ConfigError(
-            "config key 'objective.kind': online training needs mse_membrane or mse_spike_rate"
-        )
+    """Epoch loop over per-sample streams; row c of step_targets is class c's per-step target."""
     n_out = cfg.layer_sizes[-1]
+    if cfg.objective.kind is ObjectiveKind.MSE_SPIKE_RATE:
+        step_targets = np.eye(n_out)  # the class one-hot spikes
+    else:
+        step_targets = np.vstack([_target_trace(cfg.objective, c, (1, n_out)) for c in range(n_out)])
     history = TrainHistory()
     for epoch in range(cfg.epochs):
         losses = []
         for x, target in cfg.dataset.samples:
-            if cfg.objective.kind is ObjectiveKind.MSE_SPIKE_RATE:
-                step_target = np.zeros(n_out)
-                step_target[int(target)] = 1.0
-            else:
-                step_target = _target_trace(cfg.objective, target, (1, n_out))[0]
-            stream = ((row, step_target) for row in _as_matrix(x))
+            stream = ((row, step_targets[int(target)]) for row in _as_matrix(x))
             h = train_online(
                 model,
                 stream,

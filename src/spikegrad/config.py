@@ -19,10 +19,9 @@ Example::
     train.out_dir = runs/rate
 
 Unknown keys are rejected by name, as are missing required ones, so a typo
-never silently falls back to a default.  Each trainer reads only its own
-sections (README has the table), and a key that the chosen trainer does not
-read is unknown: ``unknown config key 'stdp.a_plus' for trainer.kind = bptt``.
-`#` starts a comment.
+never silently falls back to a default.  Each trainer and objective kind reads
+only its own keys (README has the tables); any other key is unknown, and the
+error names both kinds.  `#` starts a comment.
 """
 
 from __future__ import annotations
@@ -45,6 +44,22 @@ __all__ = ["ConfigError", "RunConfig", "TRAINER_KINDS", "parse_config_file", "lo
 
 # the values of trainer.kind, each a trainer in ``spikegrad train``
 TRAINER_KINDS = ("bptt", "online", "spikeprop", "stdp", "perturbation")
+# objective.kind -> the objective.<ObjectiveSpec field> keys it reads; a label needs the _REQUIRED ones set
+_OBJECTIVE_KEYS = {
+    ObjectiveKind.MSE_SPIKE_RATE: {"count_target_correct": float, "count_target_incorrect": float},
+    ObjectiveKind.MSE_MEMBRANE: {"membrane_target_correct": float, "membrane_target_incorrect": float},
+    ObjectiveKind.CE_SPIKE_TIME: {"inversion": Inversion},
+    ObjectiveKind.MSE_RELATIVE_SPIKE_TIME: {"f0": float, "gamma": float},
+}
+_REQUIRED = ("count_target_correct", "count_target_incorrect", "membrane_target_correct")
+# trainer.kind -> the objective kinds it accepts and the keys it reads for each; a label is no mse_spike_time target
+_TRAINER_OBJECTIVES = {
+    "bptt": {k: _OBJECTIVE_KEYS.get(k, {}) for k in ObjectiveKind if k is not ObjectiveKind.MSE_SPIKE_TIME},
+    "online": {ObjectiveKind.MSE_MEMBRANE: _OBJECTIVE_KEYS[ObjectiveKind.MSE_MEMBRANE],
+               ObjectiveKind.MSE_SPIKE_RATE: {}},  # the per-step forms; the spike target is the class one-hot
+    "stdp": dict.fromkeys(ObjectiveKind, {}),  # no loss; eval decodes with the kind
+}
+_TRAINER_OBJECTIVES["perturbation"] = _TRAINER_OBJECTIVES["bptt"]
 
 
 class ConfigError(ValueError):
@@ -212,20 +227,20 @@ def _build_dataset(keys: _Keys) -> Dataset:
     if kind == "rate":
         return gen_rate_task(
             seed=keys.int("task.seed", 0),
-            n_inputs=keys.int("task.n_inputs", required=True),
-            t_steps=keys.int("task.t_steps", required=True),
+            n_inputs=keys.int("task.n_inputs", required=True, minimum=1),
+            t_steps=keys.int("task.t_steps", required=True, minimum=1),
             rate_lo=keys.float("task.rate_lo", required=True),
             rate_hi=keys.float("task.rate_hi", required=True),
-            n_samples_per_class=keys.int("task.samples_per_class", required=True),
+            n_samples_per_class=keys.int("task.samples_per_class", required=True, minimum=1),
         )
     if kind == "latency":
         return gen_latency_task(
             seed=keys.int("task.seed", 0),
-            n_inputs=keys.int("task.n_inputs", required=True),
-            t_steps=keys.int("task.t_steps", required=True),
-            n_classes=keys.int("task.n_classes", required=True),
-            n_samples_per_class=keys.int("task.samples_per_class", 20),
-            jitter=keys.int("task.jitter", 1),
+            n_inputs=keys.int("task.n_inputs", required=True, minimum=1),
+            t_steps=keys.int("task.t_steps", required=True, minimum=1),
+            n_classes=keys.int("task.n_classes", required=True, minimum=2),
+            n_samples_per_class=keys.int("task.samples_per_class", 20, minimum=1),
+            jitter=keys.int("task.jitter", 1, minimum=0),
         )
     if kind == "events":
         return load_event_dataset(keys.str("task.manifest", required=True))
@@ -298,7 +313,7 @@ def _lif_layers(keys: _Keys, n_layers: int) -> tuple[list[LifParams], list[bool]
 
 
 def load_run_config(path) -> RunConfig:
-    """Read the run config; the chosen trainer reads only its own keys, and any other key is an error."""
+    """Read the run config; the trainer and the objective kind read only their own keys, any other is an error."""
     raw = parse_config_file(path)
     keys = _Keys(raw)
 
@@ -326,18 +341,14 @@ def load_run_config(path) -> RunConfig:
 
     if kind != "spikeprop":
         cfg.lif_params, cfg.recurrent = _lif_layers(keys, len(layer_sizes) - 1)
-        cfg.objective = ObjectiveSpec(
-            kind=keys.choice("objective.kind", ObjectiveKind, required=True),
-            **({} if kind == "stdp" else keys.given(
-                inversion=("objective.inversion", Inversion),
-                f0=("objective.f0", float),
-                gamma=("objective.gamma", float),
-                count_target_correct=("objective.count_target_correct", float),
-                count_target_incorrect=("objective.count_target_incorrect", float),
-                membrane_target_correct=("objective.membrane_target_correct", float),
-                membrane_target_incorrect=("objective.membrane_target_incorrect", float),
-            )),
-        )
+        accepted = _TRAINER_OBJECTIVES[kind]
+        objective = keys.choice("objective.kind", ObjectiveKind, required=True)
+        if objective not in accepted:
+            *rest, last = sorted(k.value for k in accepted)
+            raise ConfigError(f"config key 'objective.kind': {kind} training needs {', '.join(rest)} or {last}")
+        kw = {f: keys.float(f"objective.{f}", required=True) for f in _REQUIRED if f in accepted[objective]}
+        kw |= keys.given(**{f: (f"objective.{f}", t) for f, t in accepted[objective].items() if f not in kw})
+        cfg.objective = ObjectiveSpec(objective, **kw)
 
     if kind in ("bptt", "online"):
         cfg.surrogate = _in_section(
@@ -412,12 +423,7 @@ def load_run_config(path) -> RunConfig:
         )
         cfg.optimizer = _in_section("optimizer", OptimizerState.sgd, lr=keys.float("optimizer.lr", 1e-3))
 
-    keys.reject_unknown(f" for trainer.kind = {kind}")
-    if kind in ("bptt", "perturbation") and cfg.objective.kind is ObjectiveKind.MSE_SPIKE_TIME:
-        raise ConfigError(
-            "config key 'objective.kind': mse_spike_time needs a target time per output neuron, "
-            "but config tasks give class labels"
-        )
+    keys.reject_unknown(f" for trainer.kind = {kind}" + (f", objective.kind = {objective.value}" if cfg.objective else ""))
     if kind != "stdp":  # every other trainer reads a label as an output index
         for index, (_, label) in enumerate(dataset.samples):
             if not 0 <= label < layer_sizes[-1]:

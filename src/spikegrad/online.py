@@ -110,8 +110,8 @@ def train_online(
     every ``interval`` steps, and once more at the end of the stream for
     any steps left over.  The default, ``math.inf``, accumulates the
     whole-stream gradient and applies one update at the end; an interval
-    below 1 raises ``ValueError``.  The stream may be any iterable: nothing
-    is read ahead and no trace is stored.
+    below 1, or finite and not a whole number, raises ``ValueError``.  The
+    stream may be any iterable: nothing is read ahead and no trace is stored.
 
     Only w is trained: a layer with ``v`` or a learned beta raises
     ``ValueError`` naming it.  Before each update, a non-finite pending loss
@@ -121,6 +121,8 @@ def train_online(
     """
     if not (interval >= 1):
         raise ValueError(f"interval must be >= 1, got {interval}")
+    if math.isfinite(interval) and interval != int(interval):
+        raise ValueError(f"interval must be a whole number or inf, got {interval}")
     _w_only(model, "train_online")
     if optimizer is None:
         optimizer = OptimizerState.sgd(lr=1e-3)

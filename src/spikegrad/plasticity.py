@@ -51,7 +51,7 @@ class StdpParams:
     drift mildly depressive (|A-| slightly above A+), a standard stability
     choice; all values are plain knobs.  The amplitudes must be finite and
     the time constants finite and positive; the bounds and the window may be
-    infinite but not NaN.
+    infinite but not NaN, and the window must be >= 0.
     """
 
     a_plus: float = 0.01
@@ -71,6 +71,8 @@ class StdpParams:
                 raise ValueError(f"{name} must be finite and positive, got {value}")
             if name in ("w_min", "w_max", "window") and math.isnan(value):
                 raise ValueError(f"{name} must not be NaN")
+        if self.window < 0.0:
+            raise ValueError(f"window must be >= 0, got {self.window}")
         if self.w_min > self.w_max:
             raise ValueError(f"w_min {self.w_min} exceeds w_max {self.w_max}")
 

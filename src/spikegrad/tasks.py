@@ -42,6 +42,12 @@ def _samples(dataset) -> list:
     return samples
 
 
+def _at_least_one(**sizes) -> None:
+    for name, value in sizes.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def gen_rate_task(
     seed: int,
     n_inputs: int,
@@ -55,6 +61,7 @@ def gen_rate_task(
     Every input of a class-0 sample fires with probability rate_lo, of a
     class-1 sample with rate_hi.
     """
+    _at_least_one(n_inputs=n_inputs, t_steps=t_steps, n_samples_per_class=n_samples_per_class)
     if not (0.0 <= rate_lo < rate_hi <= 1.0):
         raise ValueError(f"need 0 <= rate_lo < rate_hi <= 1, got {rate_lo}, {rate_hi}")
     rng = np.random.default_rng(seed)
@@ -83,8 +90,11 @@ def gen_latency_task(
     the classes are separable by first-spike order alone.  Each sample
     jitters every spike by up to +-jitter steps (clipped to the horizon).
     """
+    _at_least_one(n_inputs=n_inputs, t_steps=t_steps, n_samples_per_class=n_samples_per_class)
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")
+    if jitter < 0:
+        raise ValueError(f"jitter must be >= 0, got {jitter}")
     if n_inputs < n_classes:
         raise ValueError(f"need n_inputs >= n_classes, got {n_inputs} < {n_classes}")
     rng = np.random.default_rng(seed)

@@ -70,6 +70,48 @@ TRAINER_CONFIGS = {
     "perturbation": PERTURBATION_CONFIG,
     "spikeprop": SPIKEPROP_CONFIG,
 }
+# the context an unknown key is reported in: the trainer and the objective kind of its config
+UNKNOWN_KEY_CONTEXT = {
+    "bptt": "trainer.kind = bptt, objective.kind = ce_spike_rate",
+    "online": "trainer.kind = online, objective.kind = mse_spike_rate",
+    "stdp": "trainer.kind = stdp, objective.kind = ce_spike_rate",
+    "perturbation": "trainer.kind = perturbation, objective.kind = ce_spike_rate",
+    "spikeprop": "trainer.kind = spikeprop",  # spikeprop reads no objective
+}
+
+# the objective.* keys each objective kind reads with bptt and perturbation
+OBJECTIVE_KEYS = {
+    "mse_spike_rate": ("count_target_correct", "count_target_incorrect"),
+    "mse_membrane": ("membrane_target_correct", "membrane_target_incorrect"),
+    "ce_spike_time": ("inversion",),
+    "mse_relative_spike_time": ("f0", "gamma"),
+}
+KEY_VALUES = {"inversion": "reciprocal"}  # every other objective key takes a number
+ALL_KINDS = ["ce_spike_rate", "mse_spike_rate", "max_membrane_ce", "sum_membrane_ce", "mse_membrane",
+             "ce_spike_time", "mse_spike_time", "mse_relative_spike_time"]
+# the objective kinds each trainer accepts: config tasks give no target time per output neuron for
+# mse_spike_time, and online needs a per-step form
+ACCEPTED_KINDS = {
+    "bptt": [k for k in ALL_KINDS if k != "mse_spike_time"],
+    "online": ["mse_membrane", "mse_spike_rate"],
+    "stdp": ALL_KINDS,
+    "perturbation": [k for k in ALL_KINDS if k != "mse_spike_time"],
+}
+
+
+def objective_keys_read(trainer, kind):
+    """The objective.* keys a trainer reads for an objective kind: online's spike target is the class
+    one-hot, and stdp reads objective.kind alone."""
+    if trainer == "stdp" or (trainer == "online" and kind == "mse_spike_rate"):
+        return ()
+    return OBJECTIVE_KEYS.get(kind, ())
+
+
+def objective_config(trainer, kind, keys):
+    """The trainer's test config under objective.kind = kind, with each of keys set to a valid value."""
+    return without(TRAINER_CONFIGS[trainer], "objective.") + f"objective.kind = {kind}\n" + "".join(
+        f"objective.{key} = {KEY_VALUES.get(key, '1')}\n" for key in keys
+    )
 
 
 def write_config(tmp_path, text, out_dir=None, name="run.cfg"):
@@ -213,9 +255,28 @@ spikeprop.target_incorrect = 3.0
          "missing required config key 'spikeprop.target_correct'"),
         (SPIKEPROP_CONFIG.replace("spikeprop.target_incorrect = 2.5\n", ""),
          "missing required config key 'spikeprop.target_incorrect'"),
+        # the objective targets without a default, set apart from the one left out
+        (objective_config("bptt", "mse_spike_rate", ["count_target_incorrect"]),
+         "missing required config key 'objective.count_target_correct'"),
+        (objective_config("bptt", "mse_spike_rate", ["count_target_correct"]),
+         "missing required config key 'objective.count_target_incorrect'"),
+        (objective_config("bptt", "mse_membrane", ["membrane_target_incorrect"]),
+         "missing required config key 'objective.membrane_target_correct'"),
+        (objective_config("perturbation", "mse_spike_rate", ["count_target_incorrect"]),
+         "missing required config key 'objective.count_target_correct'"),
+        (objective_config("perturbation", "mse_spike_rate", ["count_target_correct"]),
+         "missing required config key 'objective.count_target_incorrect'"),
+        (objective_config("perturbation", "mse_membrane", ["membrane_target_incorrect"]),
+         "missing required config key 'objective.membrane_target_correct'"),
+        (RATE_CONFIG.replace("task.t_steps = 12", "task.t_steps = 0"), "config key 'task.t_steps': must be at least 1, got 0"),
+        (ONLINE_CONFIG.replace("task.t_steps = 12", "task.t_steps = 0"), "config key 'task.t_steps': must be at least 1, got 0"),
     ], ids=["train.epochs", "train.batch_size", "trainer.trials", "trainer.interval", "model.tau", "trainer.sigma-nan",
             "trainer.sigma-negative", "spikeprop.tau", "spikeprop.dt_fine", "spikeprop.theta", "model.tau-with-beta",
-            "spikeprop.target_correct", "spikeprop.target_incorrect"])
+            "spikeprop.target_correct", "spikeprop.target_incorrect",
+            "bptt-objective.count_target_correct", "bptt-objective.count_target_incorrect",
+            "bptt-objective.membrane_target_correct", "perturbation-objective.count_target_correct",
+            "perturbation-objective.count_target_incorrect", "perturbation-objective.membrane_target_correct",
+            "bptt-task.t_steps", "online-task.t_steps"])
     def test_bad_value_names_its_key(self, tmp_path, capsys, text, message):
         cfg, out = write_config(tmp_path, text)
         assert main(["train", "--config", str(cfg)]) == 2
@@ -248,7 +309,7 @@ spikeprop.target_incorrect = 3.0
         cfg, out = write_config(tmp_path, TRAINER_CONFIGS[kind] + line + "\n")
         assert main(["train", "--config", str(cfg)]) == 2
         key = line.split(" = ")[0]
-        assert capsys.readouterr().err == f"error: unknown config key '{key}' for trainer.kind = {kind}\n"
+        assert capsys.readouterr().err == f"error: unknown config key '{key}' for {UNKNOWN_KEY_CONTEXT[kind]}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("pairing, code", [("all_pairs", 0), ("nearest_neighbor", 2)])
@@ -256,7 +317,7 @@ spikeprop.target_incorrect = 3.0
         cfg, out = write_config(tmp_path, STDP_CONFIG + f"stdp.pairing = {pairing}\nstdp.window = 1\n")
         assert main(["train", "--config", str(cfg)]) == code
         if code:
-            assert capsys.readouterr().err == "error: unknown config key 'stdp.window' for trainer.kind = stdp\n"
+            assert capsys.readouterr().err == f"error: unknown config key 'stdp.window' for {UNKNOWN_KEY_CONTEXT['stdp']}\n"
         assert out.exists() == (code == 0)
 
     def test_interval_without_per_step_names_both_keys(self, tmp_path, capsys):
@@ -319,8 +380,8 @@ spikeprop.target_incorrect = 3.0
         cfg, out = write_config(tmp_path, text)
         assert main(["train", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == (
-            "error: config key 'objective.kind': mse_spike_time needs a target time per output neuron, "
-            "but config tasks give class labels\n"
+            f"error: config key 'objective.kind': {kind} training needs ce_spike_rate, ce_spike_time, max_membrane_ce, "
+            "mse_membrane, mse_relative_spike_time, mse_spike_rate or sum_membrane_ce\n"
         )
         assert not out.exists()
 
@@ -329,8 +390,34 @@ spikeprop.target_incorrect = 3.0
             tmp_path, ONLINE_CONFIG.replace("objective.kind = mse_spike_rate", "objective.kind = mse_membrane")
         )
         assert main(["train", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err == "error: mse_membrane with a class label needs membrane_target_correct\n"
+        assert capsys.readouterr().err == "error: missing required config key 'objective.membrane_target_correct'\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("trainer, kind, key", [
+        (trainer, kind, key)
+        for trainer, kinds in ACCEPTED_KINDS.items()
+        for kind in kinds
+        for key in sorted(sum(OBJECTIVE_KEYS.values(), ()))
+        if key not in objective_keys_read(trainer, kind)
+    ])
+    def test_foreign_objective_key_is_an_error(self, tmp_path, capsys, trainer, kind, key):
+        text = objective_config(trainer, kind, objective_keys_read(trainer, kind) + (key,))
+        cfg, out = write_config(tmp_path, text)
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: unknown config key 'objective.{key}' for trainer.kind = {trainer}, objective.kind = {kind}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("trainer", sorted(ACCEPTED_KINDS))
+    def test_every_accepted_objective_kind_trains(self, tmp_path, trainer):
+        for kind in ACCEPTED_KINDS[trainer]:
+            text = objective_config(trainer, kind, objective_keys_read(trainer, kind)).replace(
+                "train.epochs = 3", "train.epochs = 1"
+            )
+            cfg, out = write_config(tmp_path, text, out_dir=tmp_path / kind)
+            assert main(["train", "--config", str(cfg)]) == 0, kind
+            assert (out / "history.csv").exists()
 
     @pytest.mark.parametrize("kind", ["bptt", "online", "perturbation", "spikeprop"])
     def test_label_outside_the_outputs_is_a_config_error(self, tmp_path, capsys, kind):
@@ -459,6 +546,13 @@ class TestStdpDemoCommand:
         cfg.write_text(f"stdp.window = inf\ntrain.out_dir = {tmp_path / 'demo_out'}\n")
         assert main(["stdp-demo", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == "error: config key 'stdp.window': stdp-demo needs a finite window, got inf\n"
+        assert not (tmp_path / "demo_out").exists()
+
+    def test_negative_window_is_a_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "demo.cfg"
+        cfg.write_text(f"stdp.window = -5\ntrain.out_dir = {tmp_path / 'demo_out'}\n")
+        assert main(["stdp-demo", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == "error: config key 'stdp.*': window must be >= 0, got -5.0\n"
         assert not (tmp_path / "demo_out").exists()
 
     def test_bad_number_names_its_key(self, tmp_path, capsys):

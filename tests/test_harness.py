@@ -123,6 +123,12 @@ class TestRateTask:
             assert la == lb
             assert np.array_equal(ra.data, rb.data)
 
+    @pytest.mark.parametrize("name, value", [("n_inputs", 0), ("t_steps", 0), ("n_samples_per_class", 0)])
+    def test_empty_sizes_rejected(self, name, value):
+        sizes = dict(n_inputs=2, t_steps=5, n_samples_per_class=1) | {name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
+            gen_rate_task(seed=0, rate_lo=0.2, rate_hi=0.8, **sizes)
+
     def test_invalid_rates_rejected(self):
         with pytest.raises(ValueError):
             gen_rate_task(seed=0, n_inputs=2, t_steps=5, rate_lo=0.5, rate_hi=0.5, n_samples_per_class=1)
@@ -179,6 +185,17 @@ class TestLatencyTask:
             gen_latency_task(seed=0, n_inputs=4, t_steps=20, n_classes=1)
         with pytest.raises(ValueError):
             gen_latency_task(seed=0, n_inputs=2, t_steps=20, n_classes=3)
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("n_inputs", 0, "n_inputs must be >= 1, got 0"),
+        ("t_steps", 0, "t_steps must be >= 1, got 0"),
+        ("n_samples_per_class", 0, "n_samples_per_class must be >= 1, got 0"),
+        ("jitter", -1, "jitter must be >= 0, got -1"),
+    ])
+    def test_sizes_out_of_range_rejected(self, name, value, message):
+        sizes = dict(n_inputs=4, t_steps=20, n_classes=2, n_samples_per_class=2, jitter=1) | {name: value}
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            gen_latency_task(seed=0, **sizes)
 
 
 class TestEventDataset:
@@ -290,7 +307,9 @@ class TestConfig:
             f"task.kind = events\ntask.manifest = {tmp_path / 'labels.txt'}\ntask.n_classes = 2\n"
             "model.layers = 4,2\nobjective.kind = ce_spike_rate\n"
         ))
-        with pytest.raises(ConfigError, match=r"^unknown config key 'task.n_classes' for trainer.kind = bptt$"):
+        with pytest.raises(
+            ConfigError, match=r"^unknown config key 'task.n_classes' for trainer.kind = bptt, objective.kind = ce_spike_rate$"
+        ):
             load_run_config(path)
 
     def test_malformed_line_names_line(self, tmp_path):
@@ -301,6 +320,25 @@ class TestConfig:
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         raw = parse_config_file(self.write(tmp_path, "# comment\n\na.b = 1  # trailing\n"))
         assert raw == {"a.b": "1"}
+
+    @pytest.mark.parametrize("task, key, value, minimum", [
+        ("rate", "task.n_inputs", 0, 1),
+        ("rate", "task.t_steps", 0, 1),
+        ("rate", "task.samples_per_class", 0, 1),
+        ("latency", "task.n_inputs", 0, 1),
+        ("latency", "task.t_steps", 0, 1),
+        ("latency", "task.samples_per_class", 0, 1),
+        ("latency", "task.jitter", -1, 0),
+        ("latency", "task.n_classes", 1, 2),
+    ])
+    def test_task_sizes_are_range_checked(self, tmp_path, task, key, value, minimum):
+        text = BASE_CONFIG if task == "rate" else BASE_CONFIG.replace("task.kind = rate", "task.kind = latency").replace(
+            "task.rate_lo = 0.1\ntask.rate_hi = 0.9\n", "task.n_classes = 2\ntask.jitter = 1\n"
+        )
+        lines = [line for line in text.splitlines() if not line.startswith(key + " ")]
+        path = self.write(tmp_path, "\n".join(lines) + f"\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=rf"^config key '{key}': must be at least {minimum}, got {value}$"):
+            load_run_config(path)
 
     def test_unknown_enum_value_rejected(self, tmp_path):
         path = self.write(tmp_path, BASE_CONFIG + "trainer.kind = quantum\n")
@@ -322,8 +360,14 @@ objective.kind = ce_spike_rate
         "objective.kind = ce_spike_rate\n", "spikeprop.target_correct = 1.5\nspikeprop.target_incorrect = 3\n"
     )
 
-    def minimal(self, kind):
-        return (self.SPIKEPROP_MINIMAL if kind == "spikeprop" else self.MINIMAL_CONFIG) + f"trainer.kind = {kind}\n"
+    # online has no per-step form of ce_spike_rate; under mse_spike_rate its target is the class one-hot
+    MINIMAL_OBJECTIVE = {"online": ObjectiveKind.MSE_SPIKE_RATE}
+
+    def minimal(self, kind, objective=None):
+        if kind == "spikeprop":
+            return self.SPIKEPROP_MINIMAL + "trainer.kind = spikeprop\n"
+        objective = objective or self.MINIMAL_OBJECTIVE.get(kind, ObjectiveKind.CE_SPIKE_RATE).value
+        return self.MINIMAL_CONFIG.replace("ce_spike_rate", objective) + f"trainer.kind = {kind}\n"
 
     def assert_resolves_to(self, cfg, expected):
         """Every field but dataset and raw: the expected value, or None for a field the trainer does not read."""
@@ -345,8 +389,8 @@ objective.kind = ce_spike_rate
             "lif_params": [lif, lif],
             "recurrent": [False, False],
             "objective": ObjectiveSpec(
-                kind=ObjectiveKind.CE_SPIKE_RATE, inversion=Inversion.NEGATE, f0=0.0, gamma=0.0,
-                count_target_correct=None, count_target_incorrect=None,
+                kind=self.MINIMAL_OBJECTIVE.get(kind, ObjectiveKind.CE_SPIKE_RATE), inversion=Inversion.NEGATE,
+                f0=0.0, gamma=0.0, count_target_correct=None, count_target_incorrect=None,
                 membrane_target_correct=None, membrane_target_incorrect=0.0,
             ),
         }
@@ -392,15 +436,30 @@ model.adapt_alpha = 0.3
 model.learn_beta = yes
 model.recurrent = 1,0
 """
-    OBJECTIVE_KEYS = """
-objective.inversion = reciprocal
-objective.f0 = 0.5
-objective.gamma = 0.25
-objective.count_target_correct = 5
-objective.count_target_incorrect = 1
-objective.membrane_target_correct = 1.5
-objective.membrane_target_incorrect = 0.125
-"""
+    # each objective kind with the objective.* keys it reads, set to values that are not the defaults
+    OBJECTIVE_KEYS = {
+        ObjectiveKind.MSE_SPIKE_RATE: "objective.count_target_correct = 5\nobjective.count_target_incorrect = 1\n",
+        ObjectiveKind.MSE_MEMBRANE: (
+            "objective.membrane_target_correct = 1.5\nobjective.membrane_target_incorrect = 0.125\n"
+        ),
+        ObjectiveKind.CE_SPIKE_TIME: "objective.inversion = reciprocal\n",
+        ObjectiveKind.MSE_RELATIVE_SPIKE_TIME: "objective.f0 = 0.5\nobjective.gamma = 0.25\n",
+    }
+    RESOLVED_OBJECTIVES = {
+        ObjectiveKind.MSE_SPIKE_RATE: {"count_target_correct": 5.0, "count_target_incorrect": 1.0},
+        ObjectiveKind.MSE_MEMBRANE: {"membrane_target_correct": 1.5, "membrane_target_incorrect": 0.125},
+        ObjectiveKind.CE_SPIKE_TIME: {"inversion": Inversion.RECIPROCAL},
+        ObjectiveKind.MSE_RELATIVE_SPIKE_TIME: {"f0": 0.5, "gamma": 0.25},
+    }
+    # the objective kinds whose keys each trainer reads: online reads only the membrane targets, as its
+    # mse_spike_rate target is the class one-hot, and stdp reads objective.kind alone
+    READS_OBJECTIVE_KEYS = {
+        "bptt": list(OBJECTIVE_KEYS),
+        "online": [ObjectiveKind.MSE_MEMBRANE],
+        "stdp": [],
+        "perturbation": list(OBJECTIVE_KEYS),
+        "spikeprop": [],
+    }
     GRADIENT_KEYS = """
 surrogate.kind = hybrid_spike
 surrogate.slope = 10
@@ -413,7 +472,7 @@ optimizer.beta2 = 0.99
 optimizer.eps = 1e-6
 """
     OWN_KEYS = {
-        "bptt": MODEL_KEYS + OBJECTIVE_KEYS + GRADIENT_KEYS + """
+        "bptt": MODEL_KEYS + GRADIENT_KEYS + """
 reg.lambda_l1 = 0.01
 reg.lambda_upper = 0.02
 reg.theta_upper = 3
@@ -424,7 +483,7 @@ trainer.feedback = random_fixed
 trainer.detach_reset = off
 train.batch_size = 5
 """,
-        "online": MODEL_KEYS + OBJECTIVE_KEYS + GRADIENT_KEYS + """
+        "online": MODEL_KEYS + GRADIENT_KEYS + """
 trainer.update_policy = per_step
 trainer.interval = 5
 """,
@@ -437,7 +496,7 @@ stdp.w_min = -3
 stdp.w_max = 2
 stdp.pairing = nearest_neighbor
 """,
-        "perturbation": MODEL_KEYS + OBJECTIVE_KEYS + """
+        "perturbation": MODEL_KEYS + """
 trainer.sigma = 0.2
 trainer.trials = 7
 """,
@@ -452,9 +511,15 @@ spikeprop.dt_fine = 0.001
 
     @pytest.mark.parametrize("kind", TRAINER_KINDS)
     def test_every_optional_key_resolves_to_its_value(self, tmp_path, kind):
-        text = self.minimal(kind) + self.OWN_KEYS[kind] + "train.epochs = 3\ntrain.seed = 11\ntrain.out_dir = runs/all\n"
-        cfg = load_run_config(self.write(tmp_path, text))
+        # every objective kind whose keys the trainer reads, each with those keys; one run without them
+        for objective in self.READS_OBJECTIVE_KEYS[kind] or [None]:
+            text = (
+                self.minimal(kind, objective and objective.value) + (self.OBJECTIVE_KEYS.get(objective) or "")
+                + self.OWN_KEYS[kind] + "train.epochs = 3\ntrain.seed = 11\ntrain.out_dir = runs/all\n"
+            )
+            self.assert_resolves_every_key(load_run_config(self.write(tmp_path, text)), kind, objective)
 
+    def assert_resolves_every_key(self, cfg, kind, objective_kind):
         def lif(theta0):
             return LifParams(
                 beta=beta_from_tau(7.5), theta0=theta0, reset_mode=ResetMode.ZERO,
@@ -464,9 +529,8 @@ spikeprop.dt_fine = 0.001
         layers = {"lif_params": [lif(1.25), lif(0.75)], "recurrent": [True, False]}
         objective = {
             "objective": ObjectiveSpec(
-                kind=ObjectiveKind.CE_SPIKE_RATE, inversion=Inversion.RECIPROCAL, f0=0.5, gamma=0.25,
-                count_target_correct=5.0, count_target_incorrect=1.0,
-                membrane_target_correct=1.5, membrane_target_incorrect=0.125,
+                kind=objective_kind or self.MINIMAL_OBJECTIVE.get(kind, ObjectiveKind.CE_SPIKE_RATE),
+                **self.RESOLVED_OBJECTIVES.get(objective_kind, {}),
             ),
         }
         gradient = {
@@ -507,7 +571,9 @@ spikeprop.dt_fine = 0.001
         text = self.minimal("stdp") + "stdp.window = 12\n"
         assert load_run_config(self.write(tmp_path, text)).stdp.window == 12.0
         path = self.write(tmp_path, text + "stdp.pairing = nearest_neighbor\n")
-        with pytest.raises(ConfigError, match=r"^unknown config key 'stdp.window' for trainer.kind = stdp$"):
+        with pytest.raises(
+            ConfigError, match=r"^unknown config key 'stdp.window' for trainer.kind = stdp, objective.kind = ce_spike_rate$"
+        ):
             load_run_config(path)
 
     def test_spikeprop_net_is_a_fresh_copy_per_build(self, tmp_path):

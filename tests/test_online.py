@@ -146,6 +146,14 @@ class TestTrainOnline:
             train_online([layer], zip(x, y), ObjectiveSpec(ObjectiveKind.MSE_MEMBRANE), interval=interval)
         assert np.array_equal(layer.w, w0)
 
+    @pytest.mark.parametrize("interval", [2.5, 1.5, 7.25])
+    def test_fractional_interval_rejected(self, interval):
+        lif, w0, x, y = _sequence_problem()
+        layer = SnnLayer(w=w0.copy(), lif=lif)
+        with pytest.raises(ValueError, match=f"^interval must be a whole number or inf, got {interval}$"):
+            train_online([layer], zip(x, y), ObjectiveSpec(ObjectiveKind.MSE_MEMBRANE), interval=interval)
+        assert np.array_equal(layer.w, w0)
+
     def test_empty_stream_rejected(self):
         lif, w0, _, _ = _sequence_problem()
         with pytest.raises(ValueError, match="empty"):

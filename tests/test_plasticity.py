@@ -247,6 +247,8 @@ class TestStdpParamsValidation:
             ("w_min", math.nan, "w_min must not be NaN"),
             ("w_max", math.nan, "w_max must not be NaN"),
             ("window", math.nan, "window must not be NaN"),
+            ("window", -5.0, r"window must be >= 0, got -5.0$"),
+            ("window", -math.inf, r"window must be >= 0, got -inf$"),
         ],
     )
     def test_values_that_break_the_rule_are_named(self, field, value, message):
