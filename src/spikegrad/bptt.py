@@ -203,12 +203,14 @@ def backward(
     lam_U[t] = d_direct[t] + surrogate * lam_S[t] + (dU[t+1]/dU[t]) * lam_U[t+1],
     where lam_S collects the direct spike gradient, the next layer's spatial
     adjoint, the explicit-recurrence pathway and (unless detached) the reset
-    pathway.  The weight-sharing sums dW = sum_t lam_I[t] x[t]^T, dV and
-    d_beta then add the steps from T-1 down onto 0.0 one at a time, bit for
-    bit as a running total would: dW and dV as one einsum over the reversed
-    views, d_beta as np.add.accumulate.  Measured with numpy 2.4.6, the one
-    exception is a 1 x 1 layer at T > 8,192: numpy reduces a single output
-    entry in 8,192-step buffers, so that dW differs at rounding level.
+    pathway.  The spike-to-threshold adaptation path is always cut, so
+    ``detach_reset=False`` refuses an adapting layer.  The weight-sharing
+    sums dW = sum_t lam_I[t] x[t]^T, dV and d_beta then add the steps from
+    T-1 down onto 0.0 one at a time, bit for bit as a running total would:
+    dW and dV as one einsum over the reversed views, d_beta as
+    np.add.accumulate.  Measured with numpy 2.4.6, the one exception is a
+    1 x 1 layer at T > 8,192: numpy reduces a single output entry in
+    8,192-step buffers, so that dW differs at rounding level.
 
     ``extra_spike_grads`` lets callers inject additional per-layer spike
     gradients (the activity regularizers use this); entries may be a T x N
@@ -228,9 +230,9 @@ def backward(
                 )
     if not detach_reset:
         for l, layer in enumerate(layers):
-            if layer.lif.adapt_alpha > 0.0 and layer.lif.reset_mode is not ResetMode.NONE:
+            if layer.lif.adapt_alpha > 0.0:
                 raise ValueError(
-                    f"analytic reset pathway with threshold adaptation is not modelled (layer {l})"
+                    f"detach_reset=False does not model threshold adaptation, the s[t] -> theta[t+1] path (layer {l})"
                 )
 
     results: list[LayerGrads | None] = [None] * n_layers

@@ -41,12 +41,12 @@ from .neuron import _as_matrix
 from .objectives import ObjectiveKind, ObjectiveSpec, _target_trace, predict_class
 from .online import train_online
 from .plasticity import perturbation_train, stdp_delta_w, stdp_update
-from .spikeprop import DeadNeuronError, SrmNet, find_spike_time, train_spikeprop
+from .spikeprop import DeadNeuronError, SrmNet, _first_spikes, _spike_arrays, train_spikeprop
 from .tasks import Dataset
 
 
 def _eval_model(model, dataset: Dataset, objective: ObjectiveSpec):
-    """Forward every sample; returns (accuracy, per-sample rows, mean spikes)."""
+    """Forward every sample; returns (accuracy, per-sample rows, summed spikes)."""
     rows = []
     total_spikes = 0.0
     for x, target in dataset.samples:
@@ -56,13 +56,13 @@ def _eval_model(model, dataset: Dataset, objective: ObjectiveSpec):
         total_spikes += spikes
         rows.append((int(target), pred, spikes))  # config tasks give class labels
     accuracy = _accuracy((pred for _, pred, _ in rows), (t for _, t in dataset.samples))
-    return accuracy, rows, total_spikes / len(dataset.samples)
+    return accuracy, rows, total_spikes
 
 
 def _scored_epoch(cfg: RunConfig, model, epoch: int, loss: float) -> EpochStats:
     """An epoch's history row, with the accuracy and spike total of the model as it now is."""
-    accuracy, _, mean_spikes = _eval_model(model, cfg.dataset, cfg.objective)
-    return EpochStats(epoch, loss, accuracy, mean_spikes * len(cfg.dataset.samples))
+    accuracy, _, total_spikes = _eval_model(model, cfg.dataset, cfg.objective)
+    return EpochStats(epoch, loss, accuracy, total_spikes)
 
 
 def _raster_to_times(raster, dt: float) -> list[np.ndarray]:
@@ -87,7 +87,7 @@ def _train_spikeprop(cfg: RunConfig, net: SrmNet) -> TrainHistory:
     # the predicted class is the output that fires first
     preds = []
     for presyn, _ in samples:
-        times = [find_spike_time(net, presyn, j) for j in range(n_out)]
+        times = _first_spikes(net, _spike_arrays(presyn), range(n_out))
         preds.append(int(np.argmin([t if t is not None else float("inf") for t in times])))
     acc = _accuracy(preds, (label for _, label in cfg.dataset.samples))
     nan = float("nan")
@@ -204,14 +204,14 @@ def cmd_eval(args) -> int:
     if cfg.trainer_kind == "spikeprop":
         raise ConfigError("config key 'trainer.kind': spikeprop writes no checkpoint for eval to score")
     model = load_checkpoint(args.checkpoint)
-    accuracy, rows, mean_spikes = _eval_model(model, cfg.dataset, cfg.objective)
+    accuracy, rows, total_spikes = _eval_model(model, cfg.dataset, cfg.objective)
     os.makedirs(cfg.out_dir, exist_ok=True)
     out_path = os.path.join(cfg.out_dir, "eval.csv")
     with open(out_path, "w", newline="\n") as fh:
         fh.write("sample,label,prediction,spikes\n")
         for idx, (label, pred, spikes) in enumerate(rows):
             fh.write(f"{idx},{label},{pred},{spikes!r}\n")
-    print(f"accuracy={accuracy:.6g} mean_spikes_per_sample={mean_spikes:.6g}")
+    print(f"accuracy={accuracy:.6g} mean_spikes_per_sample={total_spikes / len(rows):.6g}")
     print(f"wrote {out_path}")
     return 0
 

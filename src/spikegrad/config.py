@@ -19,15 +19,14 @@ Example::
     train.out_dir = runs/rate
 
 Unknown keys are rejected by name, as are missing required ones, so a typo
-never silently falls back to a default.  Each trainer and objective kind reads
-only its own keys (README has the tables); any other key is unknown, and the
-error names both kinds.  `#` starts a comment.
+never silently falls back to a default.  Each trainer, and each kind or policy
+chosen under it, reads only its own keys (README has the tables); any other key
+is unknown, and the error names the setting that switched it off.  `#` starts a comment.
 """
 
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +51,18 @@ _OBJECTIVE_KEYS = {
     ObjectiveKind.MSE_RELATIVE_SPIKE_TIME: {"f0": float, "gamma": float},
 }
 _REQUIRED = ("count_target_correct", "count_target_incorrect", "membrane_target_correct")
+# surrogate.kind -> the SurrogateKind fields it reads, as (key, type); sigmoid_exact is for gradient checks only
+_SURROGATE_KEYS = {
+    SurrogateVariant.HEAVISIDE: {}, SurrogateVariant.TRIANGULAR: {},
+    SurrogateVariant.SIGMOID: {"k": ("surrogate.slope", float)},
+    SurrogateVariant.FAST_SIGMOID: {"k": ("surrogate.slope", float)},
+    SurrogateVariant.HYBRID_SPIKE: {"c": ("surrogate.subthreshold_scale", float)},
+    SurrogateVariant.SHIFTED_RELU: {"scale": ("surrogate.scale", float)},
+}
+# optimizer.kind -> the OptimizerState fields it reads, as (key, type)
+_OPTIMIZER_KEYS = {
+    OptimizerKind.SGD: {}, OptimizerKind.ADAM: {f: (f"optimizer.{f}", float) for f in ("beta1", "beta2", "eps")}
+}
 # trainer.kind -> the objective kinds it accepts and the keys it reads for each; a label is no mse_spike_time target
 _TRAINER_OBJECTIVES = {
     "bptt": {k: _OBJECTIVE_KEYS.get(k, {}) for k in ObjectiveKind if k is not ObjectiveKind.MSE_SPIKE_TIME},
@@ -98,6 +109,7 @@ class _Keys:
     def __init__(self, raw: dict[str, str]):
         self.raw = dict(raw)
         self.used: set[str] = set()
+        self.switch: dict[str, str] = {}  # key -> the 'setting = value' that decides whether it is read
 
     def _get(self, key: str, required: bool) -> str | None:
         if key in self.raw:
@@ -164,10 +176,17 @@ class _Keys:
             if key in self.raw
         }
 
+    def variant(self, key: str, table: dict, default):
+        """The table's option at key and the arguments its entry reads; a key only another entry reads is switched off."""
+        choice = self.choice(key, {c.value: c for c in table}, default)
+        self.switch |= dict.fromkeys((k for entry in table.values() for k, _ in entry.values()), f"{key} = {choice.value}")
+        return choice, self.given(**table[choice])
+
     def reject_unknown(self, where: str = "") -> None:
         unknown = sorted(set(self.raw) - self.used)
         if unknown:
-            raise ConfigError(f"unknown config key '{unknown[0]}'{where}")
+            key = unknown[0]
+            raise ConfigError(f"unknown config key '{key}'" + (f" for {self.switch[key]}" if key in self.switch else where))
 
 
 @dataclass
@@ -280,6 +299,7 @@ def _stdp_params(keys: _Keys, demo: bool = False) -> StdpParams:
         tau_minus=("stdp.tau_minus", float),
         pairing=("stdp.pairing", Pairing),
     )
+    keys.switch["stdp.window"] = "stdp.pairing = nearest_neighbor"  # the one rule that leaves it unread
     if demo or kw.get("pairing") is not Pairing.NEAREST_NEIGHBOR:
         kw |= keys.given(window=("stdp.window", float))
     return _in_section(
@@ -351,28 +371,11 @@ def load_run_config(path) -> RunConfig:
         cfg.objective = ObjectiveSpec(objective, **kw)
 
     if kind in ("bptt", "online"):
-        cfg.surrogate = _in_section(
-            "surrogate", SurrogateKind,
-            variant=keys.choice(
-                "surrogate.kind",
-                {v.value: v for v in SurrogateVariant if v is not SurrogateVariant.SIGMOID_EXACT},
-                default=SurrogateVariant.FAST_SIGMOID,
-            ),
-            **keys.given(
-                k=("surrogate.slope", float),
-                c=("surrogate.subthreshold_scale", float),
-                scale=("surrogate.scale", float),
-            ),
-        )
+        variant, kw = keys.variant("surrogate.kind", _SURROGATE_KEYS, SurrogateVariant.FAST_SIGMOID)
+        cfg.surrogate = _in_section("surrogate", SurrogateKind, variant=variant, **kw)
+        optimizer, kw = keys.variant("optimizer.kind", _OPTIMIZER_KEYS, OptimizerKind.ADAM)
         cfg.optimizer = _in_section(
-            "optimizer", OptimizerState,
-            kind=keys.choice("optimizer.kind", OptimizerKind, default=OptimizerKind.ADAM),
-            lr=keys.float("optimizer.lr", 1e-3),
-            **keys.given(
-                beta1=("optimizer.beta1", float),
-                beta2=("optimizer.beta2", float),
-                eps=("optimizer.eps", float),
-            ),
+            "optimizer", OptimizerState, kind=optimizer, lr=keys.float("optimizer.lr", 1e-3), **kw
         )
 
     if kind == "bptt":
@@ -391,12 +394,9 @@ def load_run_config(path) -> RunConfig:
         cfg.feedback = keys.choice("trainer.feedback", Feedback, default=Feedback.SYMMETRIC)
         cfg.detach_reset = keys.flag("trainer.detach_reset", True)
     elif kind == "online":
-        if keys.choice("trainer.update_policy", {"deferred": False, "per_step": True}, default=False):
-            cfg.update_interval = keys.int("trainer.interval", 1, minimum=1)
-        elif "trainer.interval" in raw:
-            raise ConfigError("config key 'trainer.interval': only read with trainer.update_policy = per_step")
-        else:
-            cfg.update_interval = math.inf
+        policy = keys.choice("trainer.update_policy", {p: p for p in ("deferred", "per_step")}, default="deferred")
+        keys.switch["trainer.interval"] = f"trainer.update_policy = {policy}"
+        cfg.update_interval = keys.int("trainer.interval", 1, minimum=1) if policy == "per_step" else np.inf
     elif kind == "stdp":
         cfg.stdp = _stdp_params(keys)
     elif kind == "perturbation":

@@ -221,9 +221,11 @@ class TestBackward:
                 fd = (lp - lm) / (2 * eps)
                 assert grads[l].d_w[idx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
-    def test_analytic_reset_with_adaptation_rejected(self):
+    @pytest.mark.parametrize("reset_mode", list(ResetMode), ids=lambda m: m.value)
+    def test_analytic_reset_with_adaptation_rejected(self, reset_mode):
+        # the attached adjoint has no spike-to-threshold term, with or without a reset
         rng = np.random.default_rng(6)
-        lif = LifParams(beta=0.9, adapt_alpha=0.5)
+        lif = LifParams(beta=0.9, adapt_alpha=0.5, reset_mode=reset_mode)
         model = [SnnLayer.init(3, 2, lif, rng)]
         record = forward(model, np.zeros((4, 3)))
         with pytest.raises(ValueError, match="adaptation"):

@@ -2,12 +2,17 @@
 
 import os
 import shutil
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from spikegrad.cli import main
+from spikegrad.bptt import SnnLayer
+from spikegrad.cli import _scored_epoch, main
 from spikegrad.events import load_events
+from spikegrad.neuron import LifParams
+from spikegrad.objectives import ObjectiveKind, ObjectiveSpec
+from spikegrad.tasks import Dataset
 
 
 RATE_CONFIG = """
@@ -96,6 +101,14 @@ ACCEPTED_KINDS = {
     "online": ["mse_membrane", "mse_spike_rate"],
     "stdp": ALL_KINDS,
     "perturbation": [k for k in ALL_KINDS if k != "mse_spike_time"],
+}
+# the surrogate.* and optimizer.* keys each kind reads with bptt and online
+SWITCHED_KEYS = {
+    "surrogate.kind": {
+        "heaviside": (), "sigmoid": ("surrogate.slope",), "fast_sigmoid": ("surrogate.slope",), "triangular": (),
+        "hybrid_spike": ("surrogate.subthreshold_scale",), "shifted_relu": ("surrogate.scale",),
+    },
+    "optimizer.kind": {"sgd": (), "adam": ("optimizer.beta1", "optimizer.beta2", "optimizer.eps")},
 }
 
 
@@ -317,16 +330,40 @@ spikeprop.target_incorrect = 3.0
         cfg, out = write_config(tmp_path, STDP_CONFIG + f"stdp.pairing = {pairing}\nstdp.window = 1\n")
         assert main(["train", "--config", str(cfg)]) == code
         if code:
-            assert capsys.readouterr().err == f"error: unknown config key 'stdp.window' for {UNKNOWN_KEY_CONTEXT['stdp']}\n"
+            assert capsys.readouterr().err == "error: unknown config key 'stdp.window' for stdp.pairing = nearest_neighbor\n"
         assert out.exists() == (code == 0)
 
     def test_interval_without_per_step_names_both_keys(self, tmp_path, capsys):
         cfg, out = write_config(tmp_path, ONLINE_CONFIG + "trainer.interval = 5\n")
         assert main(["train", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == (
-            "error: config key 'trainer.interval': only read with trainer.update_policy = per_step\n"
+            "error: unknown config key 'trainer.interval' for trainer.update_policy = deferred\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("trainer, setting, kind, key", [
+        (trainer, setting, kind, key)
+        for trainer in ("bptt", "online")
+        for setting, reads in SWITCHED_KEYS.items()
+        for kind in reads
+        for key in sorted(set(sum(reads.values(), ())) - set(reads[kind]))
+    ])
+    def test_key_only_another_kind_reads_is_an_error(self, tmp_path, capsys, trainer, setting, kind, key):
+        text = without(TRAINER_CONFIGS[trainer], setting) + f"{setting} = {kind}\n{key} = 0.5\n"
+        cfg, out = write_config(tmp_path, text)
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: unknown config key '{key}' for {setting} = {kind}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("trainer", ["bptt", "online"])
+    def test_every_kind_trains_with_its_own_keys(self, tmp_path, trainer):
+        for setting, reads in SWITCHED_KEYS.items():
+            for kind, keys in reads.items():
+                text = without(TRAINER_CONFIGS[trainer], setting).replace("train.epochs = 3", "train.epochs = 1")
+                text += f"{setting} = {kind}\n" + "".join(f"{key} = 0.5\n" for key in keys)
+                cfg, out = write_config(tmp_path, text, out_dir=tmp_path / kind)
+                assert main(["train", "--config", str(cfg)]) == 0, kind
+                assert (out / "history.csv").exists()
 
     @pytest.mark.parametrize("text", [
         SPIKEPROP_CONFIG.replace("spikeprop.tau = 1.0", "spikeprop.tau = -1"),
@@ -435,6 +472,14 @@ spikeprop.target_incorrect = 3.0
         cfg, out = write_config(tmp_path, STDP_CONFIG.replace("model.layers = 4,3", "model.layers = 4,1"))
         assert main(["train", "--config", str(cfg)]) == 0
         assert (out / "checkpoint.txt").exists()
+
+    def test_scored_spike_total_is_the_exact_sum(self):
+        # 7 one-spike samples among 100: the mean scaled back, (7 / 100) * 100, is 7.000000000000001
+        fires_once = np.array([[1.0], [0.0], [0.0]])  # u = 1.5 > 1, then 0.35 after the reset
+        samples = [(fires_once if i < 7 else np.zeros((3, 1)), 0) for i in range(100)]
+        cfg = SimpleNamespace(dataset=Dataset(samples), objective=ObjectiveSpec(ObjectiveKind.CE_SPIKE_RATE))
+        model = [SnnLayer(w=np.array([[1.5]]), lif=LifParams(beta=0.9))]
+        assert _scored_epoch(cfg, model, 0, 0.0).total_spikes == 7.0
 
 
 class TestEvalCommand:

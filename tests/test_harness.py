@@ -9,14 +9,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from spikegrad.bptt import Feedback, OptimizerKind, OptimizerState
-from spikegrad.config import TRAINER_KINDS, ConfigError, load_run_config, parse_config_file
+from spikegrad.bptt import Feedback, OptimizerKind, OptimizerState, optimizer_step
+from spikegrad.config import (
+    _OPTIMIZER_KEYS, _SURROGATE_KEYS, TRAINER_KINDS, ConfigError, load_run_config, parse_config_file,
+)
 from spikegrad.events import EventFormatError, load_events, save_events
 from spikegrad.neuron import LifParams, ResetMode, SpikeRaster, beta_from_tau
 from spikegrad.objectives import Inversion, ObjectiveKind, ObjectiveSpec, RegularizerSpec
 from spikegrad.plasticity import Pairing, StdpParams
 from spikegrad.spikeprop import SrmNet
-from spikegrad.surrogate import SurrogateKind, SurrogateVariant
+from spikegrad.surrogate import SurrogateKind, SurrogateVariant, surrogate_grad
 from spikegrad.tasks import Dataset, gen_latency_task, gen_rate_task, load_event_dataset
 
 
@@ -460,19 +462,44 @@ model.recurrent = 1,0
         "perturbation": list(OBJECTIVE_KEYS),
         "spikeprop": [],
     }
-    GRADIENT_KEYS = """
-surrogate.kind = hybrid_spike
-surrogate.slope = 10
-surrogate.subthreshold_scale = 0.2
-surrogate.scale = 2
-optimizer.kind = sgd
-optimizer.lr = 0.05
-optimizer.beta1 = 0.8
-optimizer.beta2 = 0.99
-optimizer.eps = 1e-6
-"""
+    # each surrogate variant and optimizer kind (bptt and online) with the keys it reads, set to values
+    # that are not the defaults, and the fields those resolve to
+    SURROGATE_KEYS = {
+        SurrogateVariant.HEAVISIDE: ("", {}),
+        SurrogateVariant.SIGMOID: ("surrogate.slope = 10\n", {"k": 10.0}),
+        SurrogateVariant.FAST_SIGMOID: ("surrogate.slope = 10\n", {"k": 10.0}),
+        SurrogateVariant.TRIANGULAR: ("", {}),
+        SurrogateVariant.HYBRID_SPIKE: ("surrogate.subthreshold_scale = 0.2\n", {"c": 0.2}),
+        SurrogateVariant.SHIFTED_RELU: ("surrogate.scale = 2\n", {"scale": 2.0}),
+    }
+    OPTIMIZER_KEYS = {
+        OptimizerKind.SGD: ("", {}),
+        OptimizerKind.ADAM: (
+            "optimizer.beta1 = 0.8\noptimizer.beta2 = 0.99\noptimizer.eps = 1e-6\n",
+            {"beta1": 0.8, "beta2": 0.99, "eps": 1e-6},
+        ),
+    }
+
+    def gradient_cases(self, kind):
+        """(config text, resolved fields) for every surrogate variant with every optimizer kind; one empty
+        case for a trainer that reads neither."""
+        if kind not in ("bptt", "online"):
+            return [("", {})]
+        return [
+            (
+                f"surrogate.kind = {variant.value}\n{surrogate_text}"
+                f"optimizer.kind = {optimizer.value}\noptimizer.lr = 0.05\n{optimizer_text}",
+                {
+                    "surrogate": SurrogateKind(variant, **surrogate_fields),
+                    "optimizer": OptimizerState(optimizer, lr=0.05, **optimizer_fields),
+                },
+            )
+            for (variant, (surrogate_text, surrogate_fields)), (optimizer, (optimizer_text, optimizer_fields))
+            in itertools.product(self.SURROGATE_KEYS.items(), self.OPTIMIZER_KEYS.items())
+        ]
+
     OWN_KEYS = {
-        "bptt": MODEL_KEYS + GRADIENT_KEYS + """
+        "bptt": MODEL_KEYS + """
 reg.lambda_l1 = 0.01
 reg.lambda_upper = 0.02
 reg.theta_upper = 3
@@ -483,7 +510,7 @@ trainer.feedback = random_fixed
 trainer.detach_reset = off
 train.batch_size = 5
 """,
-        "online": MODEL_KEYS + GRADIENT_KEYS + """
+        "online": MODEL_KEYS + """
 trainer.update_policy = per_step
 trainer.interval = 5
 """,
@@ -512,14 +539,17 @@ spikeprop.dt_fine = 0.001
     @pytest.mark.parametrize("kind", TRAINER_KINDS)
     def test_every_optional_key_resolves_to_its_value(self, tmp_path, kind):
         # every objective kind whose keys the trainer reads, each with those keys; one run without them
-        for objective in self.READS_OBJECTIVE_KEYS[kind] or [None]:
+        # and, for bptt and online, every surrogate variant and optimizer kind with their keys
+        for objective, (gradient_text, gradient) in itertools.product(
+            self.READS_OBJECTIVE_KEYS[kind] or [None], self.gradient_cases(kind)
+        ):
             text = (
                 self.minimal(kind, objective and objective.value) + (self.OBJECTIVE_KEYS.get(objective) or "")
-                + self.OWN_KEYS[kind] + "train.epochs = 3\ntrain.seed = 11\ntrain.out_dir = runs/all\n"
+                + gradient_text + self.OWN_KEYS[kind] + "train.epochs = 3\ntrain.seed = 11\ntrain.out_dir = runs/all\n"
             )
-            self.assert_resolves_every_key(load_run_config(self.write(tmp_path, text)), kind, objective)
+            self.assert_resolves_every_key(load_run_config(self.write(tmp_path, text)), kind, objective, gradient)
 
-    def assert_resolves_every_key(self, cfg, kind, objective_kind):
+    def assert_resolves_every_key(self, cfg, kind, objective_kind, gradient):
         def lif(theta0):
             return LifParams(
                 beta=beta_from_tau(7.5), theta0=theta0, reset_mode=ResetMode.ZERO,
@@ -532,10 +562,6 @@ spikeprop.dt_fine = 0.001
                 kind=objective_kind or self.MINIMAL_OBJECTIVE.get(kind, ObjectiveKind.CE_SPIKE_RATE),
                 **self.RESOLVED_OBJECTIVES.get(objective_kind, {}),
             ),
-        }
-        gradient = {
-            "surrogate": SurrogateKind(SurrogateVariant.HYBRID_SPIKE, k=10.0, c=0.2, scale=2.0),
-            "optimizer": OptimizerState(OptimizerKind.SGD, lr=0.05, beta1=0.8, beta2=0.99, eps=1e-6),
         }
         own = {
             "bptt": layers | objective | gradient | {
@@ -572,7 +598,7 @@ spikeprop.dt_fine = 0.001
         assert load_run_config(self.write(tmp_path, text)).stdp.window == 12.0
         path = self.write(tmp_path, text + "stdp.pairing = nearest_neighbor\n")
         with pytest.raises(
-            ConfigError, match=r"^unknown config key 'stdp.window' for trainer.kind = stdp, objective.kind = ce_spike_rate$"
+            ConfigError, match=r"^unknown config key 'stdp.window' for stdp.pairing = nearest_neighbor$"
         ):
             load_run_config(path)
 
@@ -582,3 +608,42 @@ spikeprop.dt_fine = 0.001
         net.w += 1.0
         assert np.array_equal(cfg.build_model(np.random.default_rng(0)).w, cfg.srm_net.w)
         assert not np.array_equal(net.w, cfg.srm_net.w)
+
+
+class TestKindKeyTables:
+    """The config's tables of the keys each surrogate variant and optimizer kind reads, checked against
+    the engine: a field outside a kind's entry changes nothing it computes, and a field inside changes it."""
+
+    SURROGATE_FIELDS = {"k": 3.0, "c": 0.4, "scale": 2.5}  # each a value other than the default
+    OPTIMIZER_FIELDS = {"beta1": 0.5, "beta2": 0.5, "eps": 0.5}
+
+    @pytest.mark.parametrize("variant", list(_SURROGATE_KEYS), ids=lambda v: v.value)
+    def test_surrogate_reads_exactly_its_entry(self, variant):
+        theta = 1.0
+        u = np.linspace(-1.0, 3.0, 41)
+        s = (u > theta).astype(np.float64)
+        base = surrogate_grad(SurrogateKind(variant), u, theta, s)
+        own = set(_SURROGATE_KEYS[variant])
+        assert own <= set(self.SURROGATE_FIELDS)
+        for field, value in self.SURROGATE_FIELDS.items():
+            moved = surrogate_grad(SurrogateKind(variant, **{field: value}), u, theta, s)
+            assert np.array_equal(moved, base) == (field not in own), field
+
+    @pytest.mark.parametrize("kind", list(_OPTIMIZER_KEYS), ids=lambda k: k.value)
+    def test_optimizer_reads_exactly_its_entry(self, kind):
+        # two steps: at step 1 Adam's bias correction cancels the betas
+        params = [np.array([1.0, -2.0, 0.5])]
+        grads = [np.array([0.3, -0.1, 2.0]), np.array([-1.5, 0.4, 0.2])]
+
+        def two_steps(**fields):
+            state = OptimizerState(kind, lr=0.1, **fields)
+            out = params
+            for g in grads:
+                out = optimizer_step(out, [g], state)
+            return out[0]
+
+        base = two_steps()
+        own = set(_OPTIMIZER_KEYS[kind])
+        assert own <= set(self.OPTIMIZER_FIELDS)
+        for field, value in self.OPTIMIZER_FIELDS.items():
+            assert np.array_equal(two_steps(**{field: value}), base) == (field not in own), field
