@@ -397,10 +397,6 @@ class TrainHistory:
             for r in self.rows:
                 fh.write(f"{r.epoch},{r.loss!r},{r.accuracy!r},{r.total_spikes!r}\n")
 
-    @property
-    def final_loss(self) -> float:
-        return self.rows[-1].loss
-
 
 def _trained(layer: SnnLayer) -> tuple[str, ...]:
     """The parameters training updates, in optimizer order: w, v when set, beta when learned."""
@@ -561,12 +557,15 @@ def save_checkpoint(model: list[SnnLayer], path) -> None:
 
     Per layer: a header line, the LIF constants, then w values row-major
     one per line, then v values (row-major) when explicit recurrence is
-    present.  Round-trips bit-exactly at 64-bit.
+    present.  A layer with feedback_b adds a fifth header field ``1`` and
+    its N_in x N_out values row-major last; without it the layer's bytes
+    are those of earlier versions.  Round-trips bit-exactly at 64-bit.
     """
     lines = [CHECKPOINT_MAGIC]
     for idx, layer in enumerate(model):
         has_v = 1 if layer.v is not None else 0
-        lines.append(f"layer {idx} {layer.n_out} {layer.n_in} {has_v}")
+        b_field = "" if layer.feedback_b is None else " 1"
+        lines.append(f"layer {idx} {layer.n_out} {layer.n_in} {has_v}{b_field}")
         lif = layer.lif
         lines.append(
             "lif "
@@ -574,8 +573,9 @@ def save_checkpoint(model: list[SnnLayer], path) -> None:
             f"{_fmt(lif.adapt_alpha)} {1 if lif.learn_beta else 0}"
         )
         lines.extend(_fmt(x) for x in layer.w.ravel())
-        if layer.v is not None:
-            lines.extend(_fmt(x) for x in layer.v.ravel())
+        for extra in (layer.v, layer.feedback_b):
+            if extra is not None:
+                lines.extend(_fmt(x) for x in extra.ravel())
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -586,9 +586,9 @@ def _flag(text: str) -> bool:
     return text == "1"
 
 
-def _fields(line: str, keyword: str, n: int) -> list[str]:
+def _fields(line: str, keyword: str, n: int, optional: int = 0) -> list[str]:
     parts = line.split()
-    if len(parts) != n + 1 or parts[0] != keyword:
+    if not n < len(parts) <= n + 1 + optional or parts[0] != keyword:
         raise ValueError(f"expected a {keyword} line of {n} fields, got {line!r}")
     return parts[1:]
 
@@ -606,15 +606,16 @@ def load_checkpoint(path) -> list[SnnLayer]:
             if lines[pos] == "":
                 pos += 1
                 continue
-            idx, n_out, n_in, has_v = _fields(lines[pos], "layer", 4)
-            n_out, n_in, has_v = int(n_out), int(n_in), _flag(has_v)
+            idx, n_out, n_in, has_v, *has_b = _fields(lines[pos], "layer", 4, optional=1)
+            n_out, n_in, has_v, has_b = int(n_out), int(n_in), _flag(has_v), any(map(_flag, has_b))
             if int(idx) != len(model) or min(n_out, n_in) < 1:
                 raise ValueError(f"expected layer {len(model)} with sizes of at least 1, got {lines[pos]!r}")
             pos += 1
             beta, theta0, reset, alpha, learn = _fields(lines[pos] if pos < len(lines) else "", "lif", 5)
             lif = LifParams(float(beta), float(theta0), ResetMode(reset), float(alpha), _flag(learn))
             pos += 1
-            flat = np.empty(n_out * (n_in + n_out * has_v))
+            n_w, n_v = n_out * n_in, n_out * n_out * has_v
+            flat = np.empty(n_w * (1 + has_b) + n_v)
             if pos + flat.size > len(lines):
                 raise ValueError("truncated weight block")
             for k in range(flat.size):
@@ -622,8 +623,9 @@ def load_checkpoint(path) -> list[SnnLayer]:
                 if not np.isfinite(flat[k]):
                     raise ValueError(f"weights must be finite, got {lines[pos]!r}")
                 pos += 1
-            v = flat[n_out * n_in :].reshape(n_out, n_out) if has_v else None
-            model.append(SnnLayer(w=flat[: n_out * n_in].reshape(n_out, n_in), lif=lif, v=v))
+            v = flat[n_w : n_w + n_v].reshape(n_out, n_out) if has_v else None
+            b = flat[n_w + n_v :].reshape(n_in, n_out) if has_b else None
+            model.append(SnnLayer(w=flat[:n_w].reshape(n_out, n_in), lif=lif, v=v, feedback_b=b))
     except ValueError as exc:
         raise ValueError(f"{path}:{pos + 1}: {exc}") from None
     return model

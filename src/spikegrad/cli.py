@@ -87,7 +87,7 @@ def _train_spikeprop(cfg: RunConfig, net: SrmNet) -> TrainHistory:
     # the predicted class is the output that fires first
     preds = []
     for presyn, _ in samples:
-        times = _first_spikes(net, _spike_arrays(presyn), range(n_out))
+        times = _first_spikes(net, _spike_arrays(presyn, net.n_in), range(n_out))
         preds.append(int(np.argmin([t if t is not None else float("inf") for t in times])))
     acc = _accuracy(preds, (label for _, label in cfg.dataset.samples))
     nan = float("nan")

@@ -175,22 +175,13 @@ def latency_decode(raster) -> int:
 def population_decode(raster, groups) -> int:
     """Argmax over summed counts of each class's neuron group.
 
-    ``groups`` maps neuron index -> class index, either as a sequence of
-    length N or as a dict; every neuron must be mapped.
+    ``groups`` is a sequence of length N giving each neuron's class index.
     """
     data = _as_matrix(raster)
     n = data.shape[1]
-    if isinstance(groups, dict):
-        missing = [i for i in range(n) if i not in groups]
-        if missing:
-            raise ValueError(f"neurons {missing} have no class mapping")
-        assign = np.array([groups[i] for i in range(n)], dtype=int)
-    else:
-        assign = np.asarray(groups, dtype=int)
-        if assign.shape != (n,):
-            raise ValueError(
-                f"group map covers {assign.shape[0] if assign.ndim == 1 else '?'} neurons, raster has {n}"
-            )
+    assign = np.asarray(groups, dtype=int)
+    if assign.shape != (n,):
+        raise ValueError(f"group map covers {assign.shape[0] if assign.ndim == 1 else '?'} neurons, raster has {n}")
     counts = data.sum(axis=0)
     n_classes = int(assign.max()) + 1
     sums = np.zeros(n_classes)

@@ -126,13 +126,16 @@ def alpha_kernel_deriv(t, tau: float):
     return out if out.ndim else float(out)
 
 
-def _spike_arrays(presyn_spikes) -> np.ndarray:
+def _spike_arrays(presyn_spikes, n_in: int) -> np.ndarray:
     """One row of spike times per input, padded with +inf to a common length.
 
     An empty input is a row of padding. The kernel and its derivative are
-    exactly 0 at t - inf, so padding adds 0.0 to every sum.
+    exactly 0 at t - inf, so padding adds 0.0 to every sum. Every entry
+    point reads its sample here, so this one check rejects a count != n_in.
     """
     rows = [np.asarray(f, dtype=np.float64).reshape(-1) for f in presyn_spikes]
+    if len(rows) != n_in:
+        raise ValueError(f"{len(rows)} input spike lists but net has {n_in} inputs")
     spikes = np.full((len(rows), max(map(len, rows), default=0)), np.inf)
     for i, f in enumerate(rows):
         if not np.isfinite(f).all():
@@ -153,10 +156,7 @@ def srm_membrane(net: SrmNet, presyn_spikes, t) -> np.ndarray:
 
     presyn_spikes is one sequence of spike times per input neuron.
     """
-    spikes = _spike_arrays(presyn_spikes)
-    if spikes.shape[0] != net.n_in:
-        raise ValueError(f"{spikes.shape[0]} input spike lists but net has {net.n_in} inputs")
-    return net.w @ _kernel_sums(spikes, t, net.tau)
+    return net.w @ _kernel_sums(_spike_arrays(presyn_spikes, net.n_in), t, net.tau)
 
 
 def _membrane_slope(net: SrmNet, spikes: np.ndarray, j: int, t: float) -> float:
@@ -182,10 +182,6 @@ def _grid_sums(net: SrmNet, spikes: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     weight update; the next sample replaces it.
     """
     return _cached_grid_sums(spikes.shape, spikes.tobytes(), net.tau, net.t_end, net.dt_fine)
-
-
-_grid_sums.cache_info = _cached_grid_sums.cache_info
-_grid_sums.cache_clear = _cached_grid_sums.cache_clear
 
 
 def _first_spikes(net: SrmNet, spikes: np.ndarray, outputs) -> list[float | None]:
@@ -238,7 +234,7 @@ def find_spike_time(net: SrmNet, presyn_spikes, j: int) -> float | None:
     the bracketing interval until |U(f) - theta| < 1e-12 (typically much
     tighter; the depth cap alone narrows the bracket below 1e-15 tau).
     """
-    return _first_spikes(net, _spike_arrays(presyn_spikes), [j])[0]
+    return _first_spikes(net, _spike_arrays(presyn_spikes, net.n_in), [j])[0]
 
 
 def spike_time_weight_grad(net: SrmNet, presyn_spikes, j: int, f_j: float | None = None) -> np.ndarray:
@@ -248,9 +244,9 @@ def spike_time_weight_grad(net: SrmNet, presyn_spikes, j: int, f_j: float | None
     the crossing earlier by that amount over the membrane slope:
     df/dW = -sum_k eps(f_j - f_ik) / (dU_j/dt at f_j).
     """
-    spikes = _spike_arrays(presyn_spikes)
+    spikes = _spike_arrays(presyn_spikes, net.n_in)
     if f_j is None:
-        f_j = find_spike_time(net, presyn_spikes, j)
+        f_j = _first_spikes(net, spikes, [j])[0]
     if f_j is None:
         raise DeadNeuronError(j)
     responses = _kernel_sums(spikes, np.float64(f_j), net.tau)
@@ -269,7 +265,7 @@ def spikeprop_grad(net: SrmNet, presyn_spikes, targets) -> np.ndarray:
     targets = np.asarray(targets, dtype=np.float64)
     if targets.shape != (net.n_out,):
         raise ValueError(f"need {net.n_out} target times, got shape {targets.shape}")
-    first = _first_spikes(net, _spike_arrays(presyn_spikes), range(net.n_out))
+    first = _first_spikes(net, _spike_arrays(presyn_spikes, net.n_in), range(net.n_out))
     if None in first:
         raise DeadNeuronError(first.index(None))
     _, dl_df = _square_error(targets, np.array(first))
@@ -306,8 +302,8 @@ def train_spikeprop(net: SrmNet, dataset, lr: float, epochs: int) -> SpikePropHi
     before any update from that sample.  A non-finite gradient or updated
     weight raises ``ValueError`` naming the epoch, sample and output, with
     the weights left as they were.  Every sample's spike matrix is built
-    before the first update, so a non-finite input spike time raises
-    ``ValueError`` naming the sample and input before anything changes.
+    before the first update, so a wrong input count or a non-finite spike
+    time raises ``ValueError`` naming the sample before anything changes.
     """
     samples = _samples(dataset)
     if not (np.isfinite(lr) and lr >= 0.0):
@@ -315,7 +311,7 @@ def train_spikeprop(net: SrmNet, dataset, lr: float, epochs: int) -> SpikePropHi
     spike_matrices = []
     for index, (presyn, _) in enumerate(samples):
         try:
-            spike_matrices.append(_spike_arrays(presyn))
+            spike_matrices.append(_spike_arrays(presyn, net.n_in))
         except ValueError as exc:
             raise ValueError(f"sample {index}: {exc}") from None
     history = SpikePropHistory()

@@ -8,7 +8,7 @@ Both are deterministic functions of their seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +23,6 @@ class Dataset:
     """Uniformly shaped samples: list of (input raster/matrix, label or payload)."""
 
     samples: list
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         shapes = {_as_matrix(x).shape for x, _ in self.samples}
@@ -131,7 +130,7 @@ def gen_latency_task(
             raster = np.zeros((t_steps, n_inputs))
             raster[times, np.arange(n_inputs)] = 1.0
             samples.append((SpikeRaster(raster), c))
-    return Dataset(samples=samples, meta={"templates": [t.copy() for t in templates]})
+    return Dataset(samples=samples)
 
 
 def load_event_dataset(manifest_path) -> Dataset:

@@ -444,6 +444,69 @@ class TestCheckpoint:
         save_checkpoint(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_round_trip_keeps_feedback_matrices(self, tmp_path):
+        rng = np.random.default_rng(9)
+        lif = LifParams(beta=0.9, theta0=0.5)
+        model = [
+            SnnLayer.init(3, 4, lif, rng, recurrent=True, random_feedback=True),
+            SnnLayer.init(4, 5, lif, rng),
+            SnnLayer.init(5, 2, lif, rng, random_feedback=True),
+        ]
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path)
+        for a, b in zip(model, loaded):
+            assert np.array_equal(a.w, b.w) and np.array_equal(a.v, b.v)
+            assert np.array_equal(a.feedback_b, b.feedback_b)
+        assert loaded[1].feedback_b is None
+        path2 = tmp_path / "ckpt2.txt"
+        save_checkpoint(loaded, path2)
+        assert path.read_bytes() == path2.read_bytes()
+
+    def test_random_feedback_gradients_survive_the_round_trip(self, tmp_path):
+        rng = np.random.default_rng(10)
+        model = small_model(rng, sizes=(3, 6, 4, 2), theta=0.3)
+        x = (rng.random((12, 3)) < 0.6).astype(float)
+        d_s = rng.normal(size=(12, 2))
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint(model, path)
+
+        def grads(m):
+            return backward(forward(m, x), OutputGrads(d_spikes=d_s), feedback=Feedback.RANDOM_FIXED)
+
+        before, after = grads(model), grads(load_checkpoint(path))
+        assert any(np.any(g.d_w != 0.0) for g in before[:-1])  # the feedback path carries something
+        for a, b in zip(before, after):
+            assert np.array_equal(a.d_w, b.d_w)
+
+    def test_feedback_block_layout(self, tmp_path):
+        lif = LifParams(beta=0.5)
+        plain = SnnLayer(w=np.array([[0.5, -0.25]]), lif=lif)
+        with_b = SnnLayer(w=plain.w, lif=lif, feedback_b=np.array([[1.0], [2.5]]))
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint([plain], path)
+        assert path.read_text() == "spikegrad-v1\nlayer 0 1 2 0\nlif 0.5 1 subtract 0 0\n0.5\n-0.25\n"
+        save_checkpoint([with_b], path)
+        assert path.read_text() == "spikegrad-v1\nlayer 0 1 2 0 1\nlif 0.5 1 subtract 0 0\n0.5\n-0.25\n1\n2.5\n"
+
+    @pytest.mark.parametrize(
+        "header, line_no, reason",
+        [
+            ("layer 0 2 3 0 2", 2, "flags must be 0 or 1, got '2'"),
+            ("layer 0 2 3 0 1 1", 2, "expected a layer line of 4 fields, got 'layer 0 2 3 0 1 1'"),
+            ("layer 0 2 3 0 1", 4, "truncated weight block"),
+        ],
+        ids=["b-flag", "field-count", "truncated-feedback"],
+    )
+    def test_malformed_feedback_header_is_named(self, tmp_path, header, line_no, reason):
+        path = tmp_path / "ckpt.txt"
+        save_checkpoint([SnnLayer.init(3, 2, LifParams(beta=0.9), np.random.default_rng(0))], path)
+        lines = path.read_text().splitlines()
+        lines[1] = header
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"ckpt.txt:{line_no}: {reason}"):
+            load_checkpoint(path)
+
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("not-a-checkpoint\n")

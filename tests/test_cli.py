@@ -502,6 +502,21 @@ class TestEvalCommand:
         assert not out.exists()
 
 
+class TestCheckpointFeedback:
+    def test_random_fixed_checkpoint_keeps_the_initial_draw(self, tmp_path):
+        from spikegrad.bptt import load_checkpoint
+        from spikegrad.config import load_run_config
+
+        cfg_path, out = write_config(tmp_path, RATE_CONFIG + "trainer.feedback = random_fixed\n")
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        cfg = load_run_config(cfg_path)
+        drawn = cfg.build_model(np.random.default_rng(cfg.seed))
+        loaded = load_checkpoint(out / "checkpoint.txt")
+        assert len(loaded) == len(drawn) == 2
+        for a, b in zip(drawn, loaded):
+            assert np.array_equal(a.feedback_b, b.feedback_b)
+
+
 class TestEncodeCommand:
     def test_rate_encode_all_zero_features_header_only(self, tmp_path):
         feats = tmp_path / "f.csv"
@@ -538,6 +553,14 @@ class TestEncodeCommand:
         ]) == 0
         assert load_events(out).data[1, 0] == 1.0
         assert load_events(off).data[2, 0] == 1.0
+
+    def test_delta_encode_positive_only(self, tmp_path):
+        feats = tmp_path / "sig.csv"
+        feats.write_text("0,0\n0.5,0\n0.5,1\n0,1\n")
+        out = tmp_path / "d.ev"
+        assert main(["encode", "--scheme", "delta", "--in", str(feats), "--out", str(out), "--threshold", "0.1"]) == 0
+        # rises fire; the fall of input 0 at step 3 does not
+        assert out.read_text() == "# T=4 N=2\n1,0\n2,1\n"
 
     def test_rate_encode_rejects_nan_feature(self, tmp_path, capsys):
         features = tmp_path / "f.csv"

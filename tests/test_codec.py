@@ -202,8 +202,6 @@ class TestPopulationDecode:
 
     def test_unmapped_neuron_rejected(self):
         with pytest.raises(ValueError):
-            population_decode(np.zeros((5, 3)), {0: 0, 2: 1})
-        with pytest.raises(ValueError):
             population_decode(np.zeros((5, 3)), [0, 1])
 
 

@@ -370,6 +370,18 @@ class TestEvalObjective:
         loss, _, _ = eval_objective(spec, np.zeros((10, 2)), s, 0)
         assert loss == 0.0
 
+    def test_mse_rate_takes_an_explicit_count_target_array(self):
+        # an array target needs no count_target_correct/_incorrect
+        spec = ObjectiveSpec(ObjectiveKind.MSE_SPIKE_RATE)
+        s = np.zeros((10, 2))
+        s[:3, 0] = 1.0
+        s[:1, 1] = 1.0
+        loss, d_s, d_u = eval_objective(spec, np.zeros((10, 2)), s, np.array([5.0, 1.0]))
+        ref, ref_grad = mse_spike_rate(np.array([3.0, 1.0]), np.array([5.0, 1.0]))
+        assert loss == ref == 4.0
+        assert np.array_equal(d_s, np.broadcast_to(ref_grad, (10, 2)))
+        assert d_u is None
+
     def test_mse_rate_without_targets_names_the_problem(self):
         spec = ObjectiveSpec(ObjectiveKind.MSE_SPIKE_RATE)
         with pytest.raises(ValueError, match="count_target"):

@@ -58,6 +58,11 @@ class TestStdpUpdate:
         out = stdp_update(raster_with([]), raster_with([]), w, StdpParams())
         assert np.array_equal(out, w)
 
+    def test_zero_step_rasters_return_the_clipped_weights(self):
+        w = np.array([[0.9, -2.0, 0.1]])
+        out = stdp_update(np.zeros((0, 3)), np.zeros((0, 1)), w, StdpParams(w_min=-0.5, w_max=0.5))
+        assert np.array_equal(out, [[0.5, -0.5, 0.1]])
+
     def test_single_causal_pair(self):
         p = StdpParams(a_plus=0.02, tau_plus=7.0, w_min=-1, w_max=1)
         out = stdp_update(raster_with([2]), raster_with([5]), np.zeros((1, 1)), p)

@@ -125,7 +125,7 @@ class TestSpikePropGrad:
         numeric = (srm_membrane(net, presyn, f + h)[0] - srm_membrane(net, presyn, f - h)[0]) / (2 * h)
         from spikegrad.spikeprop import _membrane_slope, _spike_arrays
 
-        analytic = _membrane_slope(net, _spike_arrays(presyn), 0, f)
+        analytic = _membrane_slope(net, _spike_arrays(presyn, net.n_in), 0, f)
         assert analytic == pytest.approx(numeric, rel=1e-6)
 
     def test_spike_time_grad_matches_finite_differences(self):
@@ -296,6 +296,39 @@ class TestTrainSpikeProp:
         bad = ([presyn[0], [0.5, float("nan")]], targets)
         with pytest.raises(ValueError, match="^sample 2: input 1 has a non-finite spike time"):
             train_spikeprop(net, ds + [bad], lr=0.01, epochs=1)
+        assert np.array_equal(net.w, w0)
+        assert np.array_equal(net.theta, theta0)
+
+
+class TestInputCount:
+    """Every entry point reads a sample's lists through one check of their count."""
+
+    def _net(self):
+        return SrmNet(w=np.array([[1.0, 0.8]]), tau=1.0, theta=1.0, t_end=8.0)
+
+    @pytest.mark.parametrize("presyn", [[], [[0.0]], [[0.0], [0.3], [0.5]]], ids=["none", "short", "long"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda net, presyn: srm_membrane(net, presyn, 1.0),
+            lambda net, presyn: find_spike_time(net, presyn, 0),
+            lambda net, presyn: spike_time_weight_grad(net, presyn, 0),
+            lambda net, presyn: spike_time_weight_grad(net, presyn, 0, f_j=1.0),
+            lambda net, presyn: spikeprop_grad(net, presyn, np.array([1.0])),
+        ],
+        ids=["srm_membrane", "find_spike_time", "weight_grad", "weight_grad_at_f_j", "spikeprop_grad"],
+    )
+    def test_wrong_count_is_named(self, call, presyn):
+        with pytest.raises(ValueError, match=f"^{len(presyn)} input spike lists but net has 2 inputs$"):
+            call(self._net(), presyn)
+
+    def test_train_spikeprop_names_the_sample_before_any_update(self):
+        net = self._net()
+        w0, theta0 = net.w.copy(), net.theta.copy()
+        good = ([[0.0], [0.3]], np.array([1.0]))
+        long = ([[0.0], [0.3], [0.5]], np.array([1.0]))
+        with pytest.raises(ValueError, match="^sample 1: 3 input spike lists but net has 2 inputs$"):
+            train_spikeprop(net, [good, long], lr=0.01, epochs=1)
         assert np.array_equal(net.w, w0)
         assert np.array_equal(net.theta, theta0)
 

@@ -260,7 +260,7 @@ def _compare_all_outputs(seeds, max_spikes: int, check, widths: list[int]):
     for seed in seeds:
         net, presyn = _multi_output_net(seed, max_spikes)
         widths.clear()
-        got = sp._first_spikes(net, sp._spike_arrays(presyn), range(net.n_out))
+        got = sp._first_spikes(net, sp._spike_arrays(presyn, net.n_in), range(net.n_out))
         ref = [find_spike_time(net, presyn, j) for j in range(net.n_out)]
         assert [f is None for f in got] == [f is None for f in ref], f"seed {seed}: {got} vs {ref}"
         for j, (f_new, f_ref) in enumerate(zip(got, ref)):
@@ -305,7 +305,7 @@ def test_threshold_on_a_grid_membrane_brackets_as_the_reference():
                 continue
             net.theta[j] = u[1 + rising[rising.size // 3]]
             cases += 1
-        got = sp._first_spikes(net, sp._spike_arrays(presyn), range(net.n_out))
+        got = sp._first_spikes(net, sp._spike_arrays(presyn, net.n_in), range(net.n_out))
         assert got == [find_spike_time(net, presyn, j) for j in range(net.n_out)], f"seed {seed}"
     assert cases >= 40
 
@@ -376,8 +376,8 @@ def test_grid_cache_keys_on_the_kernel_and_every_spike():
         ({**base, "dt_fine": 0.0008}, presyn),
     ]
     for kwargs, spikes_of in variants:
-        sp._first_spikes(SrmNet(**base), sp._spike_arrays(presyn), range(2))  # fills the cache
-        net, spikes = SrmNet(**kwargs), sp._spike_arrays(spikes_of)
+        sp._first_spikes(SrmNet(**base), sp._spike_arrays(presyn, 3), range(2))  # fills the cache
+        net, spikes = SrmNet(**kwargs), sp._spike_arrays(spikes_of, 3)
         grid, sums = sp._grid_sums(net, spikes)
         fresh = np.arange(0.0, net.t_end + net.dt_fine, net.dt_fine)
         assert np.array_equal(grid, fresh)
@@ -389,7 +389,7 @@ def test_grid_cache_keys_on_the_kernel_and_every_spike():
 
 def test_grid_arrays_are_read_only():
     net = SrmNet(w=np.ones((1, 2)), tau=1.0, theta=1.0, t_end=5.0)
-    grid, sums = sp._grid_sums(net, sp._spike_arrays([[0.2], [0.4, 1.0]]))
+    grid, sums = sp._grid_sums(net, sp._spike_arrays([[0.2], [0.4, 1.0]], net.n_in))
     assert not grid.flags.writeable and not sums.flags.writeable
     with pytest.raises(ValueError):
         sums[0, 0] = 1.0
@@ -399,9 +399,9 @@ def test_grid_arrays_are_read_only():
 
 def test_one_grid_per_sample_pass():
     net, samples = _workload_samples(3, 5)
-    sp._grid_sums.cache_clear()
+    sp._cached_grid_sums.cache_clear()
     history = sp.train_spikeprop(net, samples, lr=0.01, epochs=3)
     assert history.threshold_interventions == 0
-    info = sp._grid_sums.cache_info()
+    info = sp._cached_grid_sums.cache_info()
     # a miss for the gradient step, a hit for the loss after the update
     assert (info.misses, info.hits) == (15, 15)
