@@ -59,7 +59,7 @@ class Feedback(enum.Enum):
 class SnnLayer:
     """One weight layer feeding a population of LIF neurons.
 
-    w           N_out x N_in forward weights
+    w           N_out x N_in forward weights (every matrix here must be finite)
     v           optional N_out x N_out explicit-recurrence weights
     lif         neuron constants for this layer
     feedback_b  optional fixed random backward matrix (shape of w.T); used
@@ -86,6 +86,12 @@ class SnnLayer:
                 raise ValueError(
                     f"feedback_b must have shape {self.w.T.shape}, got {self.feedback_b.shape}"
                 )
+        for name in ("w", "v", "feedback_b"):
+            a = getattr(self, name)
+            bad = np.argwhere(~np.isfinite(a)) if a is not None else []
+            if len(bad):
+                j, i = bad[0]
+                raise ValueError(f"{name}[{j}, {i}] is {a[j, i]}; weights must be finite")
 
     @property
     def n_out(self) -> int:
@@ -187,6 +193,16 @@ def _previous_step(trace: np.ndarray) -> np.ndarray:
     return np.concatenate((np.zeros_like(trace[:1]), trace[:-1]))
 
 
+def _per_step(grad, shape: tuple[int, int], name: str) -> np.ndarray | None:
+    """A T x N gradient, or an N-vector applied at every step, as a read-only T x N view."""
+    if grad is None:
+        return None
+    g = np.asarray(grad, dtype=np.float64)
+    if g.shape not in (shape, shape[1:]):
+        raise ValueError(f"{name} shape {g.shape} is neither {shape} nor {shape[1:]}")
+    return np.broadcast_to(g, shape)
+
+
 def backward(
     record: ForwardRecord,
     output_grads: OutputGrads,
@@ -212,9 +228,9 @@ def backward(
     1 x 1 layer at T > 8,192: numpy reduces a single output entry in
     8,192-step buffers, so that dW differs at rounding level.
 
-    ``extra_spike_grads`` lets callers inject additional per-layer spike
-    gradients (the activity regularizers use this); entries may be a T x N
-    matrix or an N-vector applied at every step.
+    ``extra_spike_grads`` holds one more spike gradient (or None) per layer,
+    for the activity regularizers.  Each, like ``d_spikes`` and ``d_membrane``,
+    is T x N or an N-vector applied at every step; other shapes raise.
     """
     from .surrogate import surrogate_grad
 
@@ -235,8 +251,16 @@ def backward(
                     f"detach_reset=False does not model threshold adaptation, the s[t] -> theta[t+1] path (layer {l})"
                 )
 
+    out_shape = record.traces[-1].s.shape
+    # dL/d(spikes) from above, T x N: the output's loss gradient, then each layer's adjoint
+    downstream = _per_step(output_grads.d_spikes, out_shape, "d_spikes")
+    d_membrane = _per_step(output_grads.d_membrane, out_shape, "d_membrane")
+    extras = [None] * n_layers if extra_spike_grads is None else list(extra_spike_grads)
+    if len(extras) != n_layers:
+        raise ValueError(f"{len(extras)} extra spike gradients for {n_layers} layers")
+    for l, tr in enumerate(record.traces):
+        extras[l] = _per_step(extras[l], tr.s.shape, f"extra spike gradient of layer {l}")
     results: list[LayerGrads | None] = [None] * n_layers
-    downstream: np.ndarray | None = None  # dL/d(spikes of layer below), T x N
 
     for l in range(n_layers - 1, -1, -1):
         layer = layers[l]
@@ -245,26 +269,11 @@ def backward(
         zero_mode = lif.reset_mode is ResetMode.ZERO
 
         lam_s_direct = np.zeros_like(tr.s)
-        if l == n_layers - 1:
-            if output_grads.d_spikes is not None:
-                d = np.asarray(output_grads.d_spikes, dtype=np.float64)
-                if d.shape != tr.s.shape:
-                    raise ValueError(
-                        f"d_spikes shape {d.shape} != output raster shape {tr.s.shape}"
-                    )
-                lam_s_direct += d
-        else:
+        if downstream is not None:
             lam_s_direct += downstream
-        if extra_spike_grads is not None and extra_spike_grads[l] is not None:
-            lam_s_direct += np.asarray(extra_spike_grads[l], dtype=np.float64)
-
-        d_membrane = None
-        if l == n_layers - 1 and output_grads.d_membrane is not None:
-            d_membrane = np.asarray(output_grads.d_membrane, dtype=np.float64)
-            if d_membrane.shape != tr.u.shape:
-                raise ValueError(
-                    f"d_membrane shape {d_membrane.shape} != trace shape {tr.u.shape}"
-                )
+        if extras[l] is not None:
+            lam_s_direct += extras[l]
+        d_direct = d_membrane if l == n_layers - 1 else None
 
         s_before = _previous_step(tr.s)
         # dU[t+1]/dU[t]: beta, gated by the zero reset after a spike at t
@@ -292,8 +301,8 @@ def backward(
 
             sur = surrogate_grad(surrogate, tr.u[t], tr.theta[t], tr.s[t])
             lam_u = sur * lam_s + decay[t] * lam_u_next
-            if d_membrane is not None:
-                lam_u = lam_u + d_membrane[t]
+            if d_direct is not None:
+                lam_u = lam_u + d_direct[t]
             lam_i[t] = lam_u * (1.0 - s_before[t]) if zero_mode else lam_u
             lam_u_next = lam_u
 

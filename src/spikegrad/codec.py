@@ -61,10 +61,10 @@ class LatencyParams:
     clamp_mode: ClampMode = ClampMode.NO_SPIKE
 
     def __post_init__(self):
-        if not self.tau > 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if not self.theta > 0.0:
-            raise ValueError(f"theta must be positive, got {self.theta}")
+        if not 0.0 < self.tau < math.inf:
+            raise ValueError(f"tau must be finite and positive, got {self.tau}")
+        if not 0.0 < self.theta < math.inf:
+            raise ValueError(f"theta must be finite and positive, got {self.theta}")
         if self.t_max < 1:
             raise ValueError(f"t_max must be >= 1, got {self.t_max}")
 
@@ -75,8 +75,8 @@ class DeltaParams:
     polarity: Polarity = Polarity.POSITIVE_ONLY
 
     def __post_init__(self):
-        if not self.threshold > 0.0:
-            raise ValueError(f"threshold must be positive, got {self.threshold}")
+        if not 0.0 < self.threshold < math.inf:
+            raise ValueError(f"threshold must be finite and positive, got {self.threshold}")
 
 
 def rate_encode(features, t_steps: int, rng: np.random.Generator) -> SpikeRaster:
@@ -114,6 +114,9 @@ def latency_encode(features, params: LatencyParams) -> SpikeRaster:
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"features must be a vector, got shape {x.shape}")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ValueError(f"feature {bad[0]} is {x[bad[0]]}; latency features must be finite")
     raster = np.zeros((params.t_max, x.shape[0]))
     for i, xi in enumerate(x):
         t = latency_time(xi, params.tau, params.theta)
@@ -137,6 +140,10 @@ def delta_encode(signal, params: DeltaParams):
     constant offset of the whole signal.
     """
     sig = _as_matrix(signal)
+    bad = np.argwhere(~np.isfinite(sig))
+    if bad.size:
+        t, i = bad[0]
+        raise ValueError(f"signal[{t}, {i}] is {sig[t, i]}; delta signals must be finite")
     diff = np.zeros_like(sig)
     diff[1:] = sig[1:] - sig[:-1]
     on = SpikeRaster((diff > params.threshold).astype(np.float64))
@@ -175,13 +182,18 @@ def latency_decode(raster) -> int:
 def population_decode(raster, groups) -> int:
     """Argmax over summed counts of each class's neuron group.
 
-    ``groups`` is a sequence of length N giving each neuron's class index.
+    ``groups`` is a sequence of length N giving each neuron's class index,
+    a whole number >= 0.
     """
     data = _as_matrix(raster)
     n = data.shape[1]
-    assign = np.asarray(groups, dtype=int)
-    if assign.shape != (n,):
-        raise ValueError(f"group map covers {assign.shape[0] if assign.ndim == 1 else '?'} neurons, raster has {n}")
+    g = np.asarray(groups, dtype=np.float64)
+    if g.shape != (n,):
+        raise ValueError(f"group map covers {g.shape[0] if g.ndim == 1 else '?'} neurons, raster has {n}")
+    bad = np.flatnonzero(~(np.isfinite(g) & (g >= 0.0) & (g == np.floor(g))))
+    if bad.size:
+        raise ValueError(f"neuron {bad[0]} has class {g[bad[0]]:g}; a class index is a whole number >= 0")
+    assign = g.astype(int)
     counts = data.sum(axis=0)
     n_classes = int(assign.max()) + 1
     sums = np.zeros(n_classes)

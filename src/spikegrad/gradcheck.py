@@ -114,21 +114,19 @@ def _random_two_layer(rng: np.random.Generator):
 
 def _relaxed_loss(model, x, y_trace, label, slope):
     record = forward(model, x, relaxed_slope=slope)
-    u = record.output_membrane()
-    s = record.output_spikes()
-    loss_m, d_u = mse_membrane(u, y_trace)
-    loss_c, d_counts = ce_spike_rate(s.sum(axis=0), label)
-    d_s = np.broadcast_to(d_counts, s.shape).copy()
-    return loss_m + loss_c, record, OutputGrads(d_spikes=d_s, d_membrane=d_u)
+    loss_m, d_u = mse_membrane(record.output_membrane(), y_trace)
+    loss_c, d_counts = ce_spike_rate(record.output_spikes().sum(axis=0), label)
+    return loss_m + loss_c, record, OutputGrads(d_spikes=d_counts, d_membrane=d_u)
 
 
-def run_relaxed_fd(seed: int = 0, n_cases: int = 20, eps: float = 1e-5) -> list[CaseResult]:
+def run_relaxed_fd(seed: int = 0) -> list[CaseResult]:
     """Backward vs central finite differences of the relaxed (smooth) loss.
 
     Randomises layer sizes, reset modes, explicit recurrence and learnable
     beta; the analytic reset pathway is kept attached so every term of the
     adjoint is exercised.
     """
+    n_cases, eps = 20, 1e-5
     rng = np.random.default_rng(seed)
     results = []
     for case in range(n_cases):
@@ -162,12 +160,13 @@ def run_relaxed_fd(seed: int = 0, n_cases: int = 20, eps: float = 1e-5) -> list[
     return results
 
 
-def run_rtrl_vs_bptt(seed: int = 0, n_cases: int = 50) -> list[CaseResult]:
+def run_rtrl_vs_bptt(seed: int = 0) -> list[CaseResult]:
     """Deferred influence gradient vs BPTT on one layer, per-step membrane loss.
 
     Reset modes are subtract or none: the influence recursion models the
     additive (detached) reset, matching backward() with detach_reset on.
     """
+    n_cases = 50
     rng = np.random.default_rng(seed)
     results = []
     for case in range(n_cases):
@@ -201,8 +200,9 @@ def run_rtrl_vs_bptt(seed: int = 0, n_cases: int = 50) -> list[CaseResult]:
     return results
 
 
-def run_spikeprop_fd(seed: int = 0, n_cases: int = 20, eps: float = 1e-6) -> list[CaseResult]:
+def run_spikeprop_fd(seed: int = 0) -> list[CaseResult]:
     """Closed-form df/dW vs finite differences of the located spike time."""
+    n_cases, eps = 20, 1e-6
     rng = np.random.default_rng(seed)
     results = [
         CaseResult("kernel-peak", abs(float(alpha_kernel(1.7, 1.7)) - 1.0), 1e-12)
@@ -253,7 +253,7 @@ def run_spikeprop_fd(seed: int = 0, n_cases: int = 20, eps: float = 1e-6) -> lis
     return results
 
 
-def run_beta_power(seed: int = 0, beta: float = 0.8, max_gap: int = 12) -> list[CaseResult]:
+def run_beta_power(seed: int = 0) -> list[CaseResult]:
     """Hybrid-surrogate gradient across an n-step quiet gap scales as beta^n.
 
     A weak probe input spikes n steps before a strong driver forces the
@@ -261,6 +261,7 @@ def run_beta_power(seed: int = 0, beta: float = 0.8, max_gap: int = 12) -> list[
     exactly beta per extra quiet step, tracing out the causal half of an
     STDP-style exponential window.
     """
+    beta, max_gap = 0.8, 12
     lif = LifParams(beta=beta, theta0=1.0, reset_mode=ResetMode.SUBTRACT)
     t_steps = max_gap + 6
     t_post = t_steps - 3

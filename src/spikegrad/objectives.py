@@ -337,20 +337,18 @@ def eval_objective(
     """Evaluate an objective on the output layer's recorded traces.
 
     Returns (loss, dloss/d_spikes, dloss/d_membrane); either gradient may
-    be None when the objective does not touch that trace.  ``target`` is a
-    class index or an explicit payload, per ObjectiveSpec.
+    be None when the objective does not touch that trace.  The spike-rate
+    kinds give dloss/d_counts, an N-vector that ``backward`` applies at every
+    step; other gradients are T x N.  ``target`` is a class index or payload.
     """
     u = _as_matrix(u_trace)
     s = _as_matrix(s_raster)
-    t_steps, n = s.shape
     kind = spec.kind
 
     if kind is ObjectiveKind.CE_SPIKE_RATE:
-        loss, dc = ce_spike_rate(s.sum(axis=0), int(target))
-        return loss, np.broadcast_to(dc, s.shape).copy(), None
+        return (*ce_spike_rate(s.sum(axis=0), int(target)), None)
     if kind is ObjectiveKind.MSE_SPIKE_RATE:
-        loss, dc = mse_spike_rate(s.sum(axis=0), _target_counts(spec, target, n))
-        return loss, np.broadcast_to(dc, s.shape).copy(), None
+        return (*mse_spike_rate(s.sum(axis=0), _target_counts(spec, target, s.shape[1])), None)
     if kind is ObjectiveKind.MAX_MEMBRANE_CE:
         loss, du = max_membrane_ce(u, int(target))
         return loss, None, du

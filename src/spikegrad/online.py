@@ -114,10 +114,11 @@ def train_online(
     stream may be any iterable: nothing is read ahead and no trace is stored.
 
     Only w is trained: a layer with ``v`` or a learned beta raises
-    ``ValueError`` naming it.  Before each update, a non-finite pending loss
-    or gradient raises ``ValueError`` naming the layer and the stream step
-    of the update (counted from 1, as in the history rows); the weights stay
-    untouched.
+    ``ValueError`` naming it.  A step target without one entry per output
+    neuron raises ``ValueError`` naming the stream step (counted from 1, as
+    in the history rows).  Before each update, a non-finite pending loss or
+    gradient raises ``ValueError`` naming the layer and the stream step of
+    the update; the weights stay untouched.
     """
     if not (interval >= 1):
         raise ValueError(f"interval must be >= 1, got {interval}")
@@ -151,8 +152,11 @@ def train_online(
         pending_loss = 0.0
         pending_steps = 0
 
+    n_out = model[-1].n_out
     for x_t, y_t in stream:
         n_steps += 1
+        if np.shape(y_t) != (n_out,):
+            raise ValueError(f"target of stream step {n_steps} has shape {np.shape(y_t)}, not ({n_out},)")
 
         # forward one step through the stack, advancing each layer's influence; the
         # spikes were tested against theta0 + b from before lif_step adds them to b

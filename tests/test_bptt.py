@@ -1,8 +1,11 @@
 """Unit tests for the network forward pass, adjoint, optimizers and checkpoints."""
 
+import re
+
 import numpy as np
 import pytest
 
+import spikegrad.surrogate
 from spikegrad.bptt import (
     Feedback,
     OptimizerState,
@@ -61,6 +64,20 @@ class TestForward:
         layer = SnnLayer(w=np.zeros((4, 3)), lif=LifParams(beta=0.9))
         with pytest.raises(ValueError):
             forward([layer], np.zeros((5, 2)))
+
+    @pytest.mark.parametrize(
+        "matrices, first_bad",
+        [
+            (dict(w=[[np.nan]]), "w[0, 0] is nan"),
+            (dict(w=[[1.0, 2.0], [0.5, -np.inf]]), "w[1, 1] is -inf"),
+            (dict(w=[[1.0]], v=[[np.inf]]), "v[0, 0] is inf"),
+            (dict(w=[[1.0, 2.0]], feedback_b=[[1.0], [np.nan]]), "feedback_b[1, 0] is nan"),
+        ],
+        ids=["w-nan", "w-inf", "v", "feedback_b"],
+    )
+    def test_non_finite_weight_is_named(self, matrices, first_bad):
+        with pytest.raises(ValueError, match=re.escape(f"{first_bad}; weights must be finite")):
+            SnnLayer(lif=LifParams(beta=0.9), **matrices)
 
     def test_explicit_recurrence_feeds_own_spikes(self):
         lif = LifParams(beta=0.5, theta0=0.5, reset_mode=ResetMode.NONE)
@@ -230,6 +247,83 @@ class TestBackward:
         record = forward(model, np.zeros((4, 3)))
         with pytest.raises(ValueError, match="adaptation"):
             backward(record, OutputGrads(d_spikes=np.zeros((4, 2))), detach_reset=False)
+
+
+def _same_bits(a, b) -> bool:
+    """Equal values with equal signs, so that -0.0 and +0.0 differ."""
+    a, b = np.asarray(a), np.asarray(b)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestPerStepGradients:
+    """backward takes each gradient as T x N, or as an N-vector applied at every step."""
+
+    @pytest.mark.parametrize("detach_reset", [True, False], ids=["detached", "attached"])
+    @pytest.mark.parametrize("reset_mode", list(ResetMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("sizes", [(3, 2), (3, 4, 2)], ids=["1-layer", "2-layer"])
+    def test_vectors_equal_their_broadcast_copies(self, sizes, reset_mode, detach_reset):
+        rng = np.random.default_rng([len(sizes), list(ResetMode).index(reset_mode), detach_reset])
+        lif = LifParams(beta=0.85, theta0=0.6, reset_mode=reset_mode, learn_beta=True)
+        # positive feed-forward weights, so that every layer fires
+        model = [
+            SnnLayer(w=rng.uniform(0.1, 0.8, size=(b, a)), lif=lif, v=rng.uniform(-0.4, 0.4, size=(b, b)))
+            for a, b in zip(sizes, sizes[1:])
+        ]
+        t_steps = 9
+        record = forward(model, (rng.random((t_steps, sizes[0])) < 0.6).astype(float))
+        assert record.output_spikes().any()
+        d_s, d_u = rng.normal(size=sizes[-1]), rng.normal(size=sizes[-1])
+        extras = [rng.normal(size=n) for n in sizes[1:]]
+
+        def grads_of(d_s, d_u, extras):
+            out = OutputGrads(d_spikes=d_s, d_membrane=d_u)
+            return backward(record, out, detach_reset=detach_reset, extra_spike_grads=extras)
+
+        def per_step(g):
+            return np.broadcast_to(g, (t_steps, g.shape[0])).copy()
+
+        for vectors in ((d_s, None, extras), (d_s, d_u, [None] * len(model)), (None, d_u, extras)):
+            matrices = [per_step(g) if g is not None else None for g in vectors[:2]]
+            matrices.append([per_step(g) if g is not None else None for g in vectors[2]])
+            for got, want in zip(grads_of(*vectors), grads_of(*matrices)):
+                assert _same_bits(got.d_w, want.d_w)
+                assert _same_bits(got.d_v, want.d_v)
+                assert _same_bits(got.d_beta, want.d_beta)
+
+    @staticmethod
+    def _record(monkeypatch):
+        """A 3-4-2 rollout over 6 steps; the adjoint fails the test if it takes a step."""
+        model = small_model(np.random.default_rng(8))
+        record = forward(model, np.ones((6, 3)))
+
+        def no_step(*args):
+            raise AssertionError("the adjoint ran before the shape check")
+
+        monkeypatch.setattr(spikegrad.surrogate, "surrogate_grad", no_step)
+        return record
+
+    BAD_OUTPUT = [np.zeros((6, 1)), np.zeros((1, 2)), np.float64(0.5), np.zeros(3), np.zeros((6, 2, 1))]
+
+    @pytest.mark.parametrize("bad", BAD_OUTPUT, ids=lambda g: str(np.shape(g)))
+    @pytest.mark.parametrize("name", ["d_spikes", "d_membrane"])
+    def test_other_output_shapes_are_named(self, monkeypatch, name, bad):
+        record = self._record(monkeypatch)
+        msg = f"{name} shape {np.shape(bad)} is neither (6, 2) nor (2,)"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            backward(record, OutputGrads(**{name: bad}))
+
+    @pytest.mark.parametrize("bad", [np.zeros((1, 4)), np.zeros((6, 1)), 1.0, [0.0] * 3], ids=lambda g: str(np.shape(g)))
+    def test_other_extra_shapes_are_named_with_their_layer(self, monkeypatch, bad):
+        record = self._record(monkeypatch)
+        msg = f"extra spike gradient of layer 0 shape {np.shape(bad)} is neither (6, 4) nor (4,)"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            backward(record, OutputGrads(d_spikes=np.zeros(2)), extra_spike_grads=[bad, np.zeros(2)])
+
+    @pytest.mark.parametrize("n_extras", [0, 1, 3])
+    def test_extras_list_needs_one_entry_per_layer(self, monkeypatch, n_extras):
+        record = self._record(monkeypatch)
+        with pytest.raises(ValueError, match=f"^{n_extras} extra spike gradients for 2 layers$"):
+            backward(record, OutputGrads(d_spikes=np.zeros(2)), extra_spike_grads=[np.zeros(4)] * n_extras)
 
 
 class TestOptimizer:

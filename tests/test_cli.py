@@ -570,6 +570,25 @@ class TestEncodeCommand:
         assert capsys.readouterr().err == "error: rate features must lie in [0, 1]\n"
         assert not (tmp_path / "x.ev").exists()
 
+    @pytest.mark.parametrize(
+        "scheme, rows, flags, message",
+        [
+            ("latency", "0.9,nan,inf,0.2\n", [], "feature 1 is nan; latency features must be finite"),
+            ("latency", "0.9,0.2\n", ["--tau", "inf"], "tau must be finite and positive, got inf"),
+            ("latency", "0.9,0.2\n", ["--theta", "nan"], "theta must be finite and positive, got nan"),
+            ("delta", "0,0\nnan,1\n1,1\n", [], "signal[1, 0] is nan; delta signals must be finite"),
+            ("delta", "0,0\n1,1\n", ["--threshold", "inf"], "threshold must be finite and positive, got inf"),
+        ],
+        ids=["latency-feature", "latency-tau", "latency-theta", "delta-signal", "delta-threshold"],
+    )
+    def test_non_finite_input_is_refused(self, tmp_path, capsys, scheme, rows, flags, message):
+        features = tmp_path / "f.csv"
+        features.write_text(rows)
+        out = tmp_path / "x.ev"
+        assert main(["encode", "--scheme", scheme, "--in", str(features), "--out", str(out), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_missing_feature_file(self, tmp_path, capsys):
         assert main(["encode", "--scheme", "rate", "--in", str(tmp_path / "x.csv"), "--out", str(tmp_path / "y.ev")]) == 2
 

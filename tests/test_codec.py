@@ -204,6 +204,24 @@ class TestPopulationDecode:
         with pytest.raises(ValueError):
             population_decode(np.zeros((5, 3)), [0, 1])
 
+    @pytest.mark.parametrize(
+        "groups, first_bad",
+        [([0, -1], "neuron 1 has class -1"), ([1.7, 0.2], "neuron 0 has class 1.7"),
+         ([0, math.nan], "neuron 1 has class nan"), ([math.inf, 0], "neuron 0 has class inf")],
+    )
+    def test_negative_or_fractional_class_rejected(self, groups, first_bad):
+        # neuron 1 fires 3 times; these maps once both decoded to class 0
+        raster = np.zeros((5, 2))
+        raster[:3, 1] = 1.0
+        with pytest.raises(ValueError, match=f"^{first_bad}; a class index is a whole number >= 0$"):
+            population_decode(raster, groups)
+
+    def test_whole_float_classes_and_the_demo_map_decode(self):
+        raster = np.zeros((5, 3))
+        raster[:3, 2] = 1.0
+        assert population_decode(raster, [0, 0, 1]) == 1
+        assert population_decode(raster, np.array([0.0, 0.0, 1.0])) == 1
+
 
 class TestParamValidation:
     def test_latency_params(self):
@@ -217,3 +235,27 @@ class TestParamValidation:
     def test_delta_params(self):
         with pytest.raises(ValueError):
             DeltaParams(threshold=0.0)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_params_must_be_finite(self, value):
+        with pytest.raises(ValueError, match="^tau must be finite and positive"):
+            LatencyParams(tau=value, theta=0.5, t_max=4)
+        with pytest.raises(ValueError, match="^theta must be finite and positive"):
+            LatencyParams(tau=1.0, theta=value, t_max=4)
+        with pytest.raises(ValueError, match="^threshold must be finite and positive"):
+            DeltaParams(threshold=value)
+
+
+class TestNonFiniteInput:
+    def test_latency_names_the_first_non_finite_feature(self):
+        params = LatencyParams(tau=1.0, theta=0.5, t_max=10)
+        with pytest.raises(ValueError, match="^feature 1 is nan; latency features must be finite$"):
+            latency_encode([0.9, math.nan, math.inf, 0.2], params)
+        with pytest.raises(ValueError, match="^feature 2 is inf; latency features must be finite$"):
+            latency_encode([0.9, 0.1, math.inf], params)
+
+    @pytest.mark.parametrize("polarity", list(Polarity), ids=lambda p: p.value)
+    def test_delta_names_the_first_non_finite_entry(self, polarity):
+        signal = np.array([[0.0, 0.0], [math.nan, 1.0], [1.0, -math.inf]])
+        with pytest.raises(ValueError, match=r"^signal\[1, 0\] is nan; delta signals must be finite$"):
+            delta_encode(signal, DeltaParams(threshold=0.5, polarity=polarity))

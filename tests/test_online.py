@@ -1,5 +1,7 @@
 """Unit tests for the temporally local (influence-based) trainer."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,27 @@ class TestTrainOnline:
         layer = SnnLayer(w=w0.copy(), lif=lif)
         with pytest.raises(ValueError, match="per-step"):
             train_online([layer], zip(x, y), ObjectiveSpec(ObjectiveKind.CE_SPIKE_RATE))
+
+    @pytest.mark.parametrize(
+        "kind, target",
+        [
+            (ObjectiveKind.MSE_MEMBRANE, [0.5]),
+            (ObjectiveKind.MSE_SPIKE_RATE, 1.0),
+            (ObjectiveKind.MSE_SPIKE_RATE, [1.0, 0.0, 0.0]),
+        ],
+        ids=["membrane-(1,)", "rate-scalar", "rate-(3,)"],
+    )
+    def test_step_target_needs_one_entry_per_output(self, kind, target):
+        # a (1,) or scalar target used to be broadcast over both outputs
+        rng = np.random.default_rng(13)
+        layer = SnnLayer.init(3, 2, LifParams(beta=0.9, theta0=0.6), rng)
+        w0 = layer.w.copy()
+        x = (rng.random((6, 3)) < 0.5).astype(float)
+        targets = [[1.0, 0.0]] * 3 + [target] + [[1.0, 0.0]] * 2
+        message = f"target of stream step 4 has shape {np.shape(target)}, not (2,)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            train_online([layer], zip(x, targets), ObjectiveSpec(kind), optimizer=OptimizerState.sgd(1e-2))
+        assert np.array_equal(layer.w, w0)
 
     @pytest.mark.parametrize("interval", [0, 0.5, -1, float("nan")])
     def test_interval_below_one_rejected(self, interval):
