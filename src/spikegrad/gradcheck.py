@@ -253,22 +253,32 @@ def run_spikeprop_fd(seed: int = 0) -> list[CaseResult]:
     return results
 
 
+def _beta_power_case(seed: int) -> tuple[float, float]:
+    """(beta, probe weight): 0.8 and 0.05 at seed 0, else drawn from [0.6, 0.95] and [0.01, 0.1]."""
+    if seed == 0:
+        return 0.8, 0.05
+    rng = np.random.default_rng(seed)
+    return float(rng.uniform(0.6, 0.95)), float(rng.uniform(0.01, 0.1))
+
+
 def run_beta_power(seed: int = 0) -> list[CaseResult]:
     """Hybrid-surrogate gradient across an n-step quiet gap scales as beta^n.
 
     A weak probe input spikes n steps before a strong driver forces the
     (single) output spike; the probe weight's gradient must shrink by
     exactly beta per extra quiet step, tracing out the causal half of an
-    STDP-style exponential window.
+    STDP-style exponential window.  The seed picks beta and the probe
+    weight (``_beta_power_case``).
     """
-    beta, max_gap = 0.8, 12
+    beta, w_probe = _beta_power_case(seed)
+    max_gap = 12
     lif = LifParams(beta=beta, theta0=1.0, reset_mode=ResetMode.SUBTRACT)
     t_steps = max_gap + 6
     t_post = t_steps - 3
     gaps = np.arange(1, max_gap + 1)
     magnitudes = []
     for n in gaps:
-        layer = SnnLayer(w=np.array([[0.05, 2.0]]), lif=lif)
+        layer = SnnLayer(w=np.array([[w_probe, 2.0]]), lif=lif)
         x = np.zeros((t_steps, 2))
         x[t_post - n, 0] = 1.0  # probe
         x[t_post, 1] = 1.0      # driver: forces the output spike at t_post

@@ -178,11 +178,12 @@ def max_membrane_ce(trace, target_class: int) -> tuple[float, np.ndarray]:
 
 
 def sum_membrane_ce(trace, target_class: int) -> tuple[float, np.ndarray]:
-    """Cross-entropy over time-summed membrane values; gradient spread over all steps."""
-    u = _as_matrix(trace)
-    loss, dlogits = _softmax_ce(u.sum(axis=0), target_class)
-    grad = np.broadcast_to(dlogits, u.shape).copy()
-    return loss, grad
+    """Cross-entropy over time-summed membrane values.
+
+    Every step's membrane enters the logits alike, so the gradient is the
+    N-vector dloss/dlogits, which ``backward`` applies at every step.
+    """
+    return _softmax_ce(_as_matrix(trace).sum(axis=0), target_class)
 
 
 def mse_membrane(trace, target_trace) -> tuple[float, np.ndarray]:
@@ -338,8 +339,9 @@ def eval_objective(
 
     Returns (loss, dloss/d_spikes, dloss/d_membrane); either gradient may
     be None when the objective does not touch that trace.  The spike-rate
-    kinds give dloss/d_counts, an N-vector that ``backward`` applies at every
-    step; other gradients are T x N.  ``target`` is a class index or payload.
+    kinds give dloss/d_counts and ``sum_membrane_ce`` gives dloss/d_logits,
+    N-vectors that ``backward`` applies at every step; other gradients are
+    T x N.  ``target`` is a class index or payload.
     """
     u = _as_matrix(u_trace)
     s = _as_matrix(s_raster)

@@ -8,7 +8,9 @@ per presynaptic spike:
 The first threshold crossing of U_j is located on a fine grid and refined
 by bisection.  The per-input kernel sums on that grid depend only on the
 input spikes, so one grid per sample serves every output, before and after
-a weight update, and the outputs of a sample are bisected together.
+a weight update, and the outputs of a sample are bisected together.  The
+sums are computed ``GRID_BLOCK`` grid points at a time, only as far as the
+first block in which an output crosses threshold.
 Learning differentiates the *time* of that crossing rather than the spike
 itself: a weight change moves the membrane, which moves the crossing by
 df/dU = -1 / (dU/dt at the crossing).  Every quantity is
@@ -49,6 +51,7 @@ log = logging.getLogger(__name__)
 
 BISECTION_DEPTH = 60
 BISECTION_RESIDUAL = 1e-12
+GRID_BLOCK = 512  # a multiple of 8, which keeps block products bit-equal to whole-grid ones
 THRESHOLD_DROP = 0.9
 MAX_THRESHOLD_DROPS = 200
 
@@ -164,22 +167,54 @@ def _membrane_slope(net: SrmNet, spikes: np.ndarray, j: int, t: float) -> float:
     return float(sum(net.w[j] * alpha_kernel_deriv(t - spikes, net.tau).sum(axis=-1)))
 
 
+class _KernelGrid:
+    """The fine grid of one sample and its kernel sums K_i(t), a block at a time.
+
+    Block b holds the N_in rows of sums on ``grid[edges[b]:edges[b + 1]]``.
+    Blocks start at multiples of GRID_BLOCK and the last one runs to the end
+    of the grid, so no block is narrower than GRID_BLOCK unless the whole
+    grid is.  A block is computed the first time an output's scan reaches
+    it and kept, read-only, for every later scan.
+    """
+
+    def __init__(self, spikes: np.ndarray, tau: float, t_end: float, dt_fine: float):
+        self.grid = np.arange(0.0, t_end + dt_fine, dt_fine)
+        self.grid.flags.writeable = False
+        self.edges = list(range(0, max(self.grid.size // GRID_BLOCK, 1) * GRID_BLOCK, GRID_BLOCK))
+        self.edges.append(self.grid.size)
+        self._spikes, self._tau, self._blocks = spikes, tau, []
+
+    def block(self, b: int) -> np.ndarray:
+        while len(self._blocks) <= b:
+            n = len(self._blocks)
+            sums = _kernel_sums(self._spikes, self.grid[self.edges[n] : self.edges[n + 1]], self._tau)
+            sums.flags.writeable = False
+            self._blocks.append(sums)
+        return self._blocks[b]
+
+    def first_above(self, w_j: np.ndarray, theta_j: float) -> int | None:
+        """Index of the first grid point where w_j @ K > theta_j, scanning block by block."""
+        for b, start in enumerate(self.edges[:-1]):
+            above = np.flatnonzero(w_j @ self.block(b) > theta_j)
+            if above.size:
+                return start + int(above[0])
+        return None
+
+
 @functools.lru_cache(maxsize=1)
-def _cached_grid_sums(shape, data: bytes, tau: float, t_end: float, dt_fine: float):
-    spikes = np.frombuffer(data, dtype=np.float64).reshape(shape)
-    grid = np.arange(0.0, t_end + dt_fine, dt_fine)
-    sums = _kernel_sums(spikes, grid, tau)
-    grid.flags.writeable = False
-    sums.flags.writeable = False
-    return grid, sums
+def _cached_grid_sums(shape, data: bytes, tau: float, t_end: float, dt_fine: float) -> _KernelGrid:
+    return _KernelGrid(np.frombuffer(data, dtype=np.float64).reshape(shape), tau, t_end, dt_fine)
 
 
-def _grid_sums(net: SrmNet, spikes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The fine grid and the N_in x G kernel sums K_i(t) on it, both read-only.
+def _grid_sums(net: SrmNet, spikes: np.ndarray) -> _KernelGrid:
+    """The sample's kernel grid, with the blocks that earlier scans computed.
 
     K depends on the spikes and the kernel, not on w or theta, so one entry
     keyed by content serves every output of a sample and the loss after its
-    weight update; the next sample replaces it.
+    weight update; the next sample replaces it.  A block's temporaries are
+    N_in x GRID_BLOCK x K while it is summed, not N_in x G x K: at 10 inputs
+    and K = 50 spikes each, about 2 MB instead of 24 MB (up to twice that for
+    the wider last block).
     """
     return _cached_grid_sums(spikes.shape, spikes.tobytes(), net.tau, net.t_end, net.dt_fine)
 
@@ -187,20 +222,25 @@ def _grid_sums(net: SrmNet, spikes: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 def _first_spikes(net: SrmNet, spikes: np.ndarray, outputs) -> list[float | None]:
     """First threshold crossing of each listed output, None where it never fires.
 
-    Each output is bracketed on the shared grid by its own ``w[j] @ K`` (a
-    single product over all outputs would group the sums differently), then
-    all bracketed outputs are bisected together: one kernel-sum call per
-    step evaluates every output's midpoint, and each output stops on its own
-    residual or depth rule.
+    Each output is bracketed on the shared grid by its own ``w[j] @ K``,
+    block by block up to the first block that holds a crossing (a single
+    product over all outputs would group the sums differently).  Blocks
+    start at multiples of GRID_BLOCK, a multiple of 8, and none is narrower
+    than that, so each block's product equals the same slice of the
+    whole-grid product bit for bit and the brackets, spike times and
+    gradients are those of a whole-grid scan.  Then all bracketed outputs
+    are bisected together: one kernel-sum call per step evaluates every
+    output's midpoint, and each output stops on its own residual or depth
+    rule.
     """
-    grid, sums = _grid_sums(net, spikes)
+    kernel_grid = _grid_sums(net, spikes)
+    grid = kernel_grid.grid
     first: list[float | None] = [None] * len(outputs)
     brackets = {}  # position in outputs -> [lo, hi]
     for pos, j in enumerate(outputs):
-        above = np.nonzero(net.w[j] @ sums > net.theta[j])[0]
-        if above.size == 0:
+        hi_idx = kernel_grid.first_above(net.w[j], net.theta[j])
+        if hi_idx is None:
             continue
-        hi_idx = int(above[0])
         if hi_idx == 0:
             first[pos] = float(grid[0])
         else:

@@ -9,10 +9,12 @@ import pytest
 from spikegrad.bptt import _trained, backward
 from spikegrad.gradcheck import (
     CaseResult,
+    _beta_power_case,
     _random_two_layer,
     _relaxed_loss,
     fit_log_linear_r2,
     max_rel_err,
+    run_beta_power,
     run_relaxed_fd,
 )
 from spikegrad.surrogate import SurrogateKind
@@ -107,3 +109,12 @@ def _ref_run_relaxed_fd(seed: int = 0, n_cases: int = 20, eps: float = 1e-5) -> 
 @pytest.mark.parametrize("seed", [0, 5])
 def test_relaxed_fd_walks_the_parameters_as_the_named_walk_did(seed):
     assert run_relaxed_fd(seed) == _ref_run_relaxed_fd(seed)
+
+
+def test_beta_power_draws_its_case_from_the_seed():
+    assert _beta_power_case(0) == (0.8, 0.05)
+    cases = {seed: _beta_power_case(seed) for seed in (1, 2)}
+    assert cases[1] != cases[2]
+    for seed, (beta, w_probe) in cases.items():
+        assert 0.6 <= beta <= 0.95 and 0.01 <= w_probe <= 0.1
+        assert all(r.passed for r in run_beta_power(seed)), seed

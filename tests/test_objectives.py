@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from spikegrad.bptt import OutputGrads, SnnLayer, backward, forward
+from spikegrad.neuron import LifParams
 from spikegrad.objectives import (
     Inversion,
     ObjectiveKind,
@@ -106,7 +108,8 @@ class TestMembraneCe:
             loss, grad = fn(u, 1)
             ref_loss, ref_grad = ce_spike_rate(u[0], 1)
             assert loss == pytest.approx(ref_loss, rel=1e-12)
-            assert grad[0] == pytest.approx(ref_grad, rel=1e-12)
+            # max gives a T x N gradient, sum the N-vector applied at every step
+            assert np.broadcast_to(grad, u.shape)[0] == pytest.approx(ref_grad, rel=1e-12)
 
     def test_max_routes_gradient_to_unique_peaks(self):
         u = np.array([[0.1, 0.9], [0.8, 0.2], [0.3, 0.5]])
@@ -122,11 +125,20 @@ class TestMembraneCe:
         assert grad[0, 0] != 0.0
         assert grad[1, 0] == 0.0
 
-    def test_sum_spreads_same_value_every_step(self):
-        u = np.array([[0.5, 0.1], [0.2, 0.4], [0.9, -0.3]])
-        _, grad = sum_membrane_ce(u, 1)
-        assert np.all(grad[0] == grad[1])
-        assert np.all(grad[1] == grad[2])
+    def test_sum_gradient_backpropagates_as_its_per_step_broadcast(self):
+        rng = np.random.default_rng(3)
+        layers = [
+            SnnLayer(w=rng.normal(0.0, 0.8, size=(5, 4)), lif=LifParams(beta=0.9, learn_beta=True)),
+            SnnLayer(w=rng.normal(0.0, 0.8, size=(3, 5)), lif=LifParams(beta=0.85, learn_beta=True)),
+        ]
+        record = forward(layers, (rng.random((12, 4)) < 0.4).astype(float))
+        _, grad = sum_membrane_ce(record.output_membrane(), 1)
+        assert grad.shape == (3,)
+        per_step = np.broadcast_to(grad, (12, 3)).copy()
+        for a, b in zip(backward(record, OutputGrads(d_membrane=grad)),
+                        backward(record, OutputGrads(d_membrane=per_step))):
+            assert np.array_equal(a.d_w, b.d_w)
+            assert np.array_equal(a.d_beta, b.d_beta)
 
     def test_sum_constant_trace_logits(self):
         v, t_steps = 0.37, 6

@@ -26,6 +26,7 @@ from spikegrad import spikeprop as sp
 from spikegrad.spikeprop import (
     BISECTION_DEPTH,
     BISECTION_RESIDUAL,
+    GRID_BLOCK,
     DeadNeuronError,
     SrmNet,
     alpha_kernel,
@@ -294,7 +295,7 @@ def test_threshold_on_a_grid_membrane_brackets_as_the_reference():
     # theta equal to one grid value of U_j: which grid point is the first above
     # threshold depends on the last bit of the grid membrane, so only the same
     # per-output product as the reference finds the same bracket
-    cases = 0
+    cases = past_first_block = 0
     for seed in range(5000, 5040):
         net, presyn = _multi_output_net(seed, 3)
         grid = np.arange(0.0, net.t_end + net.dt_fine, net.dt_fine)
@@ -305,9 +306,10 @@ def test_threshold_on_a_grid_membrane_brackets_as_the_reference():
                 continue
             net.theta[j] = u[1 + rising[rising.size // 3]]
             cases += 1
+            past_first_block += np.flatnonzero(u > net.theta[j])[0] >= GRID_BLOCK
         got = sp._first_spikes(net, sp._spike_arrays(presyn, net.n_in), range(net.n_out))
         assert got == [find_spike_time(net, presyn, j) for j in range(net.n_out)], f"seed {seed}"
-    assert cases >= 40
+    assert cases >= 40 and past_first_block >= 10
 
 
 def _workload_samples(seed: int, n_samples: int, weak_output: float = 1.0):
@@ -365,6 +367,20 @@ def test_training_equals_the_reference_loop(seed, weak_output):
     assert np.array_equal(net.theta, ref_net.theta)
 
 
+def _block_edges(size: int) -> list[int]:
+    """Starts at multiples of GRID_BLOCK; the last block runs to the end of the grid."""
+    return list(range(0, max(size // GRID_BLOCK, 1) * GRID_BLOCK, GRID_BLOCK)) + [size]
+
+
+def _assert_blocks_are_the_whole_grid(kernel_grid, net, spikes):
+    fresh = np.arange(0.0, net.t_end + net.dt_fine, net.dt_fine)
+    assert np.array_equal(kernel_grid.grid, fresh)
+    assert kernel_grid.edges == _block_edges(fresh.size)
+    whole = sp._kernel_sums(spikes, fresh, net.tau)
+    for b, (start, stop) in enumerate(zip(kernel_grid.edges, kernel_grid.edges[1:])):
+        assert np.array_equal(kernel_grid.block(b), whole[:, start:stop]), f"block {b}"
+
+
 def test_grid_cache_keys_on_the_kernel_and_every_spike():
     presyn = [[0.1, 0.9], [0.3], []]
     moved = [[0.1, 0.9], [0.35], []]
@@ -378,10 +394,7 @@ def test_grid_cache_keys_on_the_kernel_and_every_spike():
     for kwargs, spikes_of in variants:
         sp._first_spikes(SrmNet(**base), sp._spike_arrays(presyn, 3), range(2))  # fills the cache
         net, spikes = SrmNet(**kwargs), sp._spike_arrays(spikes_of, 3)
-        grid, sums = sp._grid_sums(net, spikes)
-        fresh = np.arange(0.0, net.t_end + net.dt_fine, net.dt_fine)
-        assert np.array_equal(grid, fresh)
-        assert np.array_equal(sums, sp._kernel_sums(spikes, fresh, net.tau))
+        _assert_blocks_are_the_whole_grid(sp._grid_sums(net, spikes), net, spikes)
         got = sp._first_spikes(net, spikes, range(2))
         assert got == [find_spike_time(net, spikes_of, j) for j in range(2)], kwargs
         assert None not in got
@@ -389,12 +402,56 @@ def test_grid_cache_keys_on_the_kernel_and_every_spike():
 
 def test_grid_arrays_are_read_only():
     net = SrmNet(w=np.ones((1, 2)), tau=1.0, theta=1.0, t_end=5.0)
-    grid, sums = sp._grid_sums(net, sp._spike_arrays([[0.2], [0.4, 1.0]], net.n_in))
-    assert not grid.flags.writeable and not sums.flags.writeable
+    kernel_grid = sp._grid_sums(net, sp._spike_arrays([[0.2], [0.4, 1.0]], net.n_in))
+    grid, block = kernel_grid.grid, kernel_grid.block(1)
+    assert not grid.flags.writeable and not block.flags.writeable
     with pytest.raises(ValueError):
-        sums[0, 0] = 1.0
+        block[0, 0] = 1.0
     with pytest.raises(ValueError):
         grid[0] = 1.0
+
+
+@pytest.mark.parametrize("n_in", range(1, 13))
+def test_block_products_equal_the_whole_grid_product(n_in):
+    # every block starts at a multiple of 8 and, but for the last, is a multiple
+    # of 8 wide, so numpy groups each block's dot products as it groups the same
+    # columns of the whole-grid product.  Blocks 510 wide, or a last block only 2
+    # or 3 points wide (sizes 514 and 515 cut at 512), are grouped differently.
+    rng = np.random.default_rng(6000 + n_in)
+    sizes = (300, 512, 513, 514, 515, 1026, 1027, 1031, 2056, 4099, 6001)
+    for k, size in zip((1, 2, 3, 5, 7, 8, 9, 16, 25, 33, 50), sizes):
+        tau = float(rng.uniform(0.5, 2.0))
+        dt_fine = tau / 1000.0
+        net = SrmNet(w=rng.uniform(-0.5, 1.5, size=(4, n_in)), tau=tau, theta=1.0, t_end=(size - 1.5) * dt_fine)
+        presyn = [rng.uniform(0.0, net.t_end, size=k) for _ in range(n_in)]
+        spikes = sp._spike_arrays(presyn, n_in)
+        kernel_grid = sp._KernelGrid(spikes, net.tau, net.t_end, net.dt_fine)
+        assert kernel_grid.grid.size == size
+        _assert_blocks_are_the_whole_grid(kernel_grid, net, spikes)
+        whole = sp._kernel_sums(spikes, kernel_grid.grid, net.tau)
+        for j in range(net.n_out):
+            u = net.w[j] @ whole
+            for b, (start, stop) in enumerate(zip(kernel_grid.edges, kernel_grid.edges[1:])):
+                assert np.array_equal(net.w[j] @ kernel_grid.block(b), u[start:stop]), (k, size, j, b)
+
+
+def test_silent_output_evaluates_every_block(monkeypatch):
+    net = SrmNet(w=np.array([[0.1, 0.2]]), tau=1.0, theta=1.0, t_end=6.0)
+    spikes = sp._spike_arrays([[0.5], [1.0, 2.0]], net.n_in)
+    sp._cached_grid_sums.cache_clear()
+    sizes = []
+    kernel_sums = sp._kernel_sums
+
+    def spy(spikes, t, tau):
+        sizes.append(np.size(t))
+        return kernel_sums(spikes, t, tau)
+
+    monkeypatch.setattr(sp, "_kernel_sums", spy)
+    assert sp._first_spikes(net, spikes, [0]) == [None]
+    assert sizes == np.diff(_block_edges(6001)).tolist()
+    # a later scan of the same sample reuses every block
+    assert sp._first_spikes(net, spikes, [0]) == [None]
+    assert len(sizes) == 6001 // GRID_BLOCK
 
 
 def test_one_grid_per_sample_pass():
