@@ -2,7 +2,7 @@
 
 A spike-response neuron sums alpha-kernel responses to its input spikes;
 the gradient is taken through the *time* of its first threshold crossing,
-located by bisection.  The closed-form derivative is checked against a
+found in closed form.  The closed-form derivative is checked against a
 finite difference, then a toy neuron is trained to fire at a target time.
 """
 

@@ -266,7 +266,7 @@ def cmd_gradcheck(args) -> int:
     ok = True
     for res in results:
         status = "PASS" if res.passed else "FAIL"
-        print(f"{res.name}: max_rel_err={res.max_rel_err:.3e} tol={res.tol:.0e} {status}")
+        print(f"{res.name} ({res.case}): max_rel_err={res.max_rel_err:.3e} tol={res.tol:.0e} {status}")
         worst = max(worst, res.max_rel_err)
         ok = ok and res.passed
     print(f"suite {args.suite}: worst max_rel_err={worst:.3e} -> {'PASS' if ok else 'FAIL'}")

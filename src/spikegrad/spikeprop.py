@@ -5,12 +5,9 @@ per presynaptic spike:
 
     U_j(t) = sum_{i,k} W_ji * eps(t - f_i^(k)),   eps(t) = (t/tau) e^(1 - t/tau)
 
-The first threshold crossing of U_j is located on a fine grid and refined
-by bisection.  The per-input kernel sums on that grid depend only on the
-input spikes, so one grid per sample serves every output, before and after
-a weight update, and the outputs of a sample are bisected together.  The
-sums are computed ``GRID_BLOCK`` grid points at a time, only as far as the
-first block in which an output crosses threshold.
+Between two input spikes U_j is (e/tau) e^(-s/tau) (A s + C) in the time s
+since the earlier one, so its first threshold crossing is found in closed
+form, as a Lambert-W0 value, by one walk over the sorted input spikes.
 Learning differentiates the *time* of that crossing rather than the spike
 itself: a weight change moves the membrane, which moves the crossing by
 df/dU = -1 / (dU/dt at the crossing).  Every quantity is
@@ -26,8 +23,8 @@ weights, which fights the initialisation scale), at most
 
 from __future__ import annotations
 
-import functools
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -49,9 +46,6 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-BISECTION_DEPTH = 60
-BISECTION_RESIDUAL = 1e-12
-GRID_BLOCK = 512  # a multiple of 8, which keeps block products bit-equal to whole-grid ones
 THRESHOLD_DROP = 0.9
 MAX_THRESHOLD_DROPS = 200
 
@@ -72,7 +66,8 @@ class SrmNet:
 
     theta may be given as a scalar (shared) or per-output vector; it is
     stored per neuron so training can lower individual thresholds.
-    dt_fine is the grid resolution used to bracket threshold crossings.
+    dt_fine is the time of one raster step when the CLI reads event rasters
+    as spike times; the spike-time engine itself needs no time step.
     """
 
     w: np.ndarray
@@ -91,6 +86,8 @@ class SrmNet:
             raise ValueError(f"w[{j}, {i}] is {self.w[j, i]}; weights must be finite")
         if not self.tau > 0.0:
             raise ValueError(f"tau must be positive, got {self.tau}")
+        if not self.t_end > 0.0:
+            raise ValueError(f"t_end must be positive, got {self.t_end}")
         theta = np.asarray(self.theta, dtype=np.float64)
         if theta.ndim == 0:
             theta = np.full(self.w.shape[0], float(theta))
@@ -104,7 +101,7 @@ class SrmNet:
         if self.dt_fine is None:
             self.dt_fine = self.tau / 1000.0
         if self.dt_fine > self.tau / 100.0:
-            raise ValueError("dt_fine must be at most tau/100 for reliable bracketing")
+            raise ValueError("dt_fine, the time of one CLI raster step, must be at most tau/100")
 
     @property
     def n_out(self) -> int:
@@ -167,112 +164,82 @@ def _membrane_slope(net: SrmNet, spikes: np.ndarray, j: int, t: float) -> float:
     return float(sum(net.w[j] * alpha_kernel_deriv(t - spikes, net.tau).sum(axis=-1)))
 
 
-class _KernelGrid:
-    """The fine grid of one sample and its kernel sums K_i(t), a block at a time.
+def _lambert_w0(z: float) -> float:
+    """Principal branch of Lambert W on [-1/e, 0): the w >= -1 with w e^w = z.
 
-    Block b holds the N_in rows of sums on ``grid[edges[b]:edges[b + 1]]``.
-    Blocks start at multiples of GRID_BLOCK and the last one runs to the end
-    of the grid, so no block is narrower than GRID_BLOCK unless the whole
-    grid is.  A block is computed the first time an output's scan reaches
-    it and kept, read-only, for every later scan.
+    Three Halley steps from the branch-point series (z below -1/(2e)) or
+    from log1p(z) reach rounding level everywhere on that range.
     """
-
-    def __init__(self, spikes: np.ndarray, tau: float, t_end: float, dt_fine: float):
-        self.grid = np.arange(0.0, t_end + dt_fine, dt_fine)
-        self.grid.flags.writeable = False
-        self.edges = list(range(0, max(self.grid.size // GRID_BLOCK, 1) * GRID_BLOCK, GRID_BLOCK))
-        self.edges.append(self.grid.size)
-        self._spikes, self._tau, self._blocks = spikes, tau, []
-
-    def block(self, b: int) -> np.ndarray:
-        while len(self._blocks) <= b:
-            n = len(self._blocks)
-            sums = _kernel_sums(self._spikes, self.grid[self.edges[n] : self.edges[n + 1]], self._tau)
-            sums.flags.writeable = False
-            self._blocks.append(sums)
-        return self._blocks[b]
-
-    def first_above(self, w_j: np.ndarray, theta_j: float) -> int | None:
-        """Index of the first grid point where w_j @ K > theta_j, scanning block by block."""
-        for b, start in enumerate(self.edges[:-1]):
-            above = np.flatnonzero(w_j @ self.block(b) > theta_j)
-            if above.size:
-                return start + int(above[0])
-        return None
+    p = math.sqrt(max(2.0 * (math.e * z + 1.0), 0.0))
+    if p == 0.0:
+        return -1.0
+    w = -1.0 + p - p * p / 3.0 + 11.0 / 72.0 * p**3 if p < 1.0 else math.log1p(z)
+    for _ in range(3):
+        ew = math.exp(w)
+        f = w * ew - z
+        w -= f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+    return w
 
 
-@functools.lru_cache(maxsize=1)
-def _cached_grid_sums(shape, data: bytes, tau: float, t_end: float, dt_fine: float) -> _KernelGrid:
-    return _KernelGrid(np.frombuffer(data, dtype=np.float64).reshape(shape), tau, t_end, dt_fine)
+def _first_crossing(times: list[float], weights: list[float], tau: float, theta: float, t_end: float) -> float | None:
+    """First t in [0, t_end] with sum_k weights[k] eps(t - times[k]) = theta, times sorted.
 
-
-def _grid_sums(net: SrmNet, spikes: np.ndarray) -> _KernelGrid:
-    """The sample's kernel grid, with the blocks that earlier scans computed.
-
-    K depends on the spikes and the kernel, not on w or theta, so one entry
-    keyed by content serves every output of a sample and the loss after its
-    weight update; the next sample replaces it.  A block's temporaries are
-    N_in x GRID_BLOCK x K while it is summed, not N_in x G x K: at 10 inputs
-    and K = 50 spikes each, about 2 MB instead of 24 MB (up to twice that for
-    the wider last block).
+    From a reference time t0 until the next spike the membrane is
+    U(t0 + s) = (e/tau) e^(-s/tau) (a s + c), with a = sum w e^(-d/tau) and
+    c = sum w d e^(-d/tau) over the spikes at d = t0 - t_k >= 0 before it.
+    With a > 0 it rises to its peak at s = tau - c/a and falls after, and
+    with a <= 0 it never rises above max(U(t0), 0), so only an interval
+    with a > 0 whose highest point lies above theta holds the crossing.
+    There it is the Lambert-W0 root s = -tau W0(z) - c/a, with
+    z = -(theta / (e a)) e^(-c / (a tau)).
     """
-    return _cached_grid_sums(spikes.shape, spikes.tobytes(), net.tau, net.t_end, net.dt_fine)
+    a = c = start = 0.0
+    k = 0
+    while k < len(times) and times[k] <= 0.0:
+        decay = math.exp(times[k] / tau)
+        a += weights[k] * decay
+        c -= weights[k] * times[k] * decay
+        k += 1
+    if math.e / tau * c > theta:
+        return 0.0
+    while start < t_end:
+        end = min(times[k], t_end) if k < len(times) else t_end
+        if a > 0.0:
+            s = min(max(tau - c / a, 0.0), end - start)
+            if math.e / tau * math.exp(-s / tau) * (a * s + c) > theta:
+                z = -theta / (math.e * a) * math.exp(-c / (a * tau))
+                return start + max(-tau * _lambert_w0(z) - c / a, 0.0)
+        if k == len(times):
+            break
+        decay = math.exp((start - end) / tau)
+        a, c = a * decay + weights[k], (c + a * (end - start)) * decay
+        start = end
+        k += 1
+    return None
 
 
 def _first_spikes(net: SrmNet, spikes: np.ndarray, outputs) -> list[float | None]:
     """First threshold crossing of each listed output, None where it never fires.
 
-    Each output is bracketed on the shared grid by its own ``w[j] @ K``,
-    block by block up to the first block that holds a crossing (a single
-    product over all outputs would group the sums differently).  Blocks
-    start at multiples of GRID_BLOCK, a multiple of 8, and none is narrower
-    than that, so each block's product equals the same slice of the
-    whole-grid product bit for bit and the brackets, spike times and
-    gradients are those of a whole-grid scan.  Then all bracketed outputs
-    are bisected together: one kernel-sum call per step evaluates every
-    output's midpoint, and each output stops on its own residual or depth
-    rule.
+    The spikes of every input are walked in time order, once per output
+    (``_first_crossing``).
     """
-    kernel_grid = _grid_sums(net, spikes)
-    grid = kernel_grid.grid
-    first: list[float | None] = [None] * len(outputs)
-    brackets = {}  # position in outputs -> [lo, hi]
-    for pos, j in enumerate(outputs):
-        hi_idx = kernel_grid.first_above(net.w[j], net.theta[j])
-        if hi_idx is None:
-            continue
-        if hi_idx == 0:
-            first[pos] = float(grid[0])
-        else:
-            brackets[pos] = [float(grid[hi_idx - 1]), float(grid[hi_idx])]
-
-    for _ in range(BISECTION_DEPTH):
-        if not brackets:
-            break
-        mids = {pos: 0.5 * (lo + hi) for pos, (lo, hi) in brackets.items()}
-        # one contiguous N_in row per output, so each dot sums as a lone vector would
-        rows = _kernel_sums(spikes, np.array(list(mids.values())), net.tau).T.copy()
-        for (pos, mid), row in zip(mids.items(), rows):
-            j = outputs[pos]
-            u_mid = float(net.w[j] @ row)
-            if abs(u_mid - net.theta[j]) < BISECTION_RESIDUAL:
-                first[pos] = mid
-                del brackets[pos]
-            elif u_mid > net.theta[j]:
-                brackets[pos][1] = mid
-            else:
-                brackets[pos][0] = mid
-    for pos, (_, hi) in brackets.items():
-        first[pos] = hi
-    return first
+    inputs, slots = np.nonzero(np.isfinite(spikes))
+    times = spikes[inputs, slots]
+    order = np.argsort(times, kind="stable")
+    times, inputs = times[order].tolist(), inputs[order]
+    return [_first_crossing(times, net.w[j, inputs].tolist(), net.tau, float(net.theta[j]), net.t_end) for j in outputs]
 
 
 def find_spike_time(net: SrmNet, presyn_spikes, j: int) -> float | None:
     """First threshold crossing of output neuron j, or None if it never fires.
 
-    Scans the fine grid for the first point above threshold, then bisects
-    the bracketing interval until |U(f) - theta| < 1e-12 (typically much
-    tighter; the depth cap alone narrows the bracket below 1e-15 tau).
+    The output fires only if U_j goes strictly above theta somewhere in
+    [0, t_end], so a peak exactly equal to theta is silent and no crossing
+    has zero slope.  The spike time f is the first t >= 0 with
+    U_j(t) = theta, and 0.0 if U_j(0) is already above theta (which takes
+    input spikes before 0).  f is exact up to rounding, however briefly
+    U_j stays above theta.
     """
     return _first_spikes(net, _spike_arrays(presyn_spikes, net.n_in), [j])[0]
 
@@ -319,10 +286,6 @@ def spikeprop_grad(net: SrmNet, presyn_spikes, targets) -> np.ndarray:
 class SpikePropHistory:
     rows: list[tuple[int, float]] = field(default_factory=list)  # (epoch, loss)
     threshold_interventions: int = 0
-
-    @property
-    def final_loss(self) -> float:
-        return self.rows[-1][1]
 
 
 def _check_finite(what: str, rows: np.ndarray, epoch: int, sample: int) -> None:

@@ -260,9 +260,10 @@ spikeprop.target_incorrect = 3.0
         (SPIKEPROP_CONFIG.replace("spikeprop.tau = 1.0", "spikeprop.tau = -1"),
          "config key 'spikeprop.*': tau must be positive, got -1.0"),
         (SPIKEPROP_CONFIG + "spikeprop.dt_fine = 0.5\n",
-         "config key 'spikeprop.*': dt_fine must be at most tau/100 for reliable bracketing"),
+         "config key 'spikeprop.*': dt_fine, the time of one CLI raster step, must be at most tau/100"),
         (SPIKEPROP_CONFIG + "spikeprop.theta = 0\n",
          "config key 'spikeprop.*': theta of output neuron 0 is 0.0; it must be finite and positive"),
+        (SPIKEPROP_CONFIG + "spikeprop.t_end = nan\n", "config key 'spikeprop.*': t_end must be positive, got nan"),
         (RATE_CONFIG + "model.tau = 5\n", "config key 'model.tau': set model.tau or model.beta, not both"),
         (SPIKEPROP_CONFIG.replace("spikeprop.target_correct = 1.0\n", ""),
          "missing required config key 'spikeprop.target_correct'"),
@@ -284,7 +285,8 @@ spikeprop.target_incorrect = 3.0
         (RATE_CONFIG.replace("task.t_steps = 12", "task.t_steps = 0"), "config key 'task.t_steps': must be at least 1, got 0"),
         (ONLINE_CONFIG.replace("task.t_steps = 12", "task.t_steps = 0"), "config key 'task.t_steps': must be at least 1, got 0"),
     ], ids=["train.epochs", "train.batch_size", "trainer.trials", "trainer.interval", "model.tau", "trainer.sigma-nan",
-            "trainer.sigma-negative", "spikeprop.tau", "spikeprop.dt_fine", "spikeprop.theta", "model.tau-with-beta",
+            "trainer.sigma-negative", "spikeprop.tau", "spikeprop.dt_fine", "spikeprop.theta", "spikeprop.t_end",
+            "model.tau-with-beta",
             "spikeprop.target_correct", "spikeprop.target_incorrect",
             "bptt-objective.count_target_correct", "bptt-objective.count_target_incorrect",
             "bptt-objective.membrane_target_correct", "perturbation-objective.count_target_correct",
@@ -607,6 +609,14 @@ class TestGradcheckCommand:
 
     def test_spikeprop_fd_suite_exits_zero(self, capsys):
         assert main(["gradcheck", "--suite", "spikeprop-fd", "--seed", "3"]) == 0
+
+    def test_each_line_names_the_case_the_seed_drew(self, capsys):
+        outs = []
+        for seed in ("0", "1"):
+            assert main(["gradcheck", "--suite", "beta-power", "--seed", seed]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] != outs[1]
+        assert outs[0].startswith("beta-power-ratio (beta=0.8, w_probe=0.05): max_rel_err=")
 
 
 class TestStdpDemoCommand:

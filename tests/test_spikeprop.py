@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from spikegrad.spikeprop import (
-    BISECTION_RESIDUAL,
     DeadNeuronError,
     SrmNet,
     alpha_kernel,
@@ -40,6 +39,15 @@ class TestAlphaKernel:
 
     def test_derivative_zero_before_onset(self):
         assert float(alpha_kernel_deriv(-1.0, 1.0)) == 0.0
+
+
+@pytest.mark.parametrize("z", [-1.0 / math.e, -1.0 / math.e + 1e-12, -0.3, -0.5 / math.e, -0.1, -1e-12])
+def test_lambert_w0_inverts_w_exp_w(z):
+    from spikegrad.spikeprop import _lambert_w0
+
+    w = _lambert_w0(z)
+    assert -1.0 <= w < 0.0
+    assert w * math.exp(w) == pytest.approx(z, rel=1e-15, abs=1e-17)
 
 
 class TestSrmMembrane:
@@ -79,13 +87,12 @@ class TestFindSpikeTime:
         net = SrmNet(w=np.array([[0.5]]), tau=1.0, theta=1.0, t_end=6.0)
         assert find_spike_time(net, [[0.0]], 0) is None
 
-    def test_bisection_residual_bound(self):
+    def test_crossing_residual_bound(self):
         net = SrmNet(w=np.array([[1.4, 0.9]]), tau=1.0, theta=1.0, t_end=8.0)
         presyn = [[0.0, 0.8], [0.4]]
         f = find_spike_time(net, presyn, 0)
         assert f is not None
-        assert abs(srm_membrane(net, presyn, f)[0] - 1.0) < 1e-10
-        assert BISECTION_RESIDUAL <= 1e-10
+        assert abs(srm_membrane(net, presyn, f)[0] - 1.0) < 1e-14
 
     def test_stronger_weights_fire_no_later(self):
         presyn = [[0.0]]
@@ -103,6 +110,45 @@ class TestFindSpikeTime:
         net = SrmNet(w=np.array([[1.001]]), tau=tau, theta=1.0, t_end=8.0)
         f = find_spike_time(net, [[0.0]], 0)
         assert f == pytest.approx(tau, abs=0.1)
+
+    @pytest.mark.parametrize(
+        "w, presyn, theta, t_end, expect",
+        [
+            # a crossing shorter than a thousandth of tau, just under the peak of one kernel
+            ([1.0], [[0.5005]], 1.0 - 1e-9, 6.0, "fires"),
+            ([1.0], [[0.5005]], 1.0 - 1e-8, 6.0, "fires"),
+            ([1.0], [[0.5005]], 1.0 - 1e-7, 6.0, "fires"),
+            ([1.0], [[0.5005]], 1.0, 6.0, None),  # the peak equals theta: never strictly above
+            ([0.6, 0.6], [[0.3], [0.3]], 1.0, 6.0, "fires"),  # equal spike times
+            ([-0.5, 1.5], [[0.0], [0.4]], 1.0, 6.0, "fires"),  # dips below zero, then rises
+            ([-2.0, 1.2, 0.5], [[0.5], [0.0, 2.5], [2.0]], 1.0, 8.0, "fires"),  # falls back, rises later
+            ([5.0, 1.5, 5.0], [[], [0.2], []], 1.0, 6.0, "fires"),  # empty inputs
+            ([0.0, 0.0], [[], []], 1.0, 6.0, None),
+            ([1.5], [[0.0]], 1.0, 0.3, None),  # U reaches theta only after t_end
+            ([2.0], [[-1.0]], 1.0, 6.0, 0.0),  # U(0) = 2 > theta
+        ],
+        ids=[
+            "tangent-1e-9", "tangent-1e-8", "tangent-1e-7", "peak-equals-theta", "equal-times", "dip-then-rise",
+            "second-rise", "empty-inputs", "all-empty", "after-t-end", "above-at-zero",
+        ],
+    )
+    def test_first_crossing(self, w, presyn, theta, t_end, expect):
+        net = SrmNet(w=np.array([w]), tau=1.0, theta=theta, t_end=t_end)
+        f = find_spike_time(net, presyn, 0)
+        if expect != "fires":
+            assert f == expect
+            return
+        assert f is not None and 0.0 < f <= t_end
+        assert abs(srm_membrane(net, presyn, f)[0] - theta) <= 1e-14
+        assert np.all(srm_membrane(net, presyn, np.linspace(0.0, f, 1001)[:-1])[0] < theta)
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-8, 1e-7])
+    def test_tangent_crossing_trains_without_a_threshold_drop(self, eps):
+        net = SrmNet(w=np.array([[1.0]]), tau=1.0, theta=1.0 - eps, t_end=6.0)
+        hist = train_spikeprop(net, [([[0.5005]], np.array([1.4]))], lr=1e-6, epochs=2)
+        assert hist.threshold_interventions == 0
+        assert net.theta[0] == 1.0 - eps
+        assert np.isfinite(hist.rows[-1][1])
 
 
 class TestSpikePropGrad:
@@ -197,7 +243,7 @@ class TestTrainSpikeProp:
         assert net.theta[1] < 1.0
         assert net.theta[0] == 1.0
         assert find_spike_time(net, ds[0][0], 1) is not None
-        assert np.isfinite(hist.final_loss)
+        assert np.isfinite(hist.rows[-1][1])
 
     def test_empty_dataset_rejected(self):
         net, _ = self._toy()
@@ -337,6 +383,20 @@ class TestSrmNetValidation:
     def test_dt_fine_bound(self):
         with pytest.raises(ValueError):
             SrmNet(w=np.ones((1, 1)), tau=1.0, theta=1.0, t_end=5.0, dt_fine=0.5)
+
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, float("nan")])
+    def test_t_end_must_be_positive(self, t_end):
+        # with t_end = -1 a spike before 0 once fired at 0.0, outside [0, t_end]
+        with pytest.raises(ValueError, match="t_end must be positive"):
+            SrmNet(w=np.array([[2.0]]), tau=1.0, theta=1.0, t_end=t_end)
+
+    def test_infinite_t_end_searches_every_interval(self):
+        net = SrmNet(w=np.array([[0.6, 0.6]]), tau=1.0, theta=1.0, t_end=float("inf"))
+        assert find_spike_time(net, [[0.0], [40.0]], 0) is None
+        net.w[0, 1] = 2.0
+        f = find_spike_time(net, [[0.0], [40.0]], 0)
+        assert 40.0 < f < 41.0
+        assert abs(srm_membrane(net, [[0.0], [40.0]], f)[0] - 1.0) <= 1e-14
 
     @pytest.mark.parametrize("theta", [-0.1, 0.0, float("nan"), float("inf")])
     def test_threshold_must_be_finite_and_positive(self, theta):
