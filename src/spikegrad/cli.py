@@ -337,7 +337,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that left early shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:  # stdout closed early, as by `| head`
+        # point stdout at devnull so the flush at exit cannot raise again (Python's signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except FileNotFoundError as exc:
         message, code = f"missing file: {exc.filename}", 2
     except ValueError as exc:  # bad input, ConfigError included

@@ -77,14 +77,6 @@ class SpikeRaster:
             raise ValueError("spike raster entries must be exactly 0 or 1")
         object.__setattr__(self, "data", arr)
 
-    @property
-    def t_steps(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[1]
-
     def counts(self) -> np.ndarray:
         """Per-neuron spike counts (column sums)."""
         return self.data.sum(axis=0)

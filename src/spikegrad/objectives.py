@@ -36,7 +36,6 @@ __all__ = [
     "sum_membrane_ce",
     "mse_membrane",
     "ce_spike_time",
-    "mse_spike_time",
     "mse_relative_spike_time",
     "regularize",
     "eval_objective",
@@ -211,32 +210,6 @@ def ce_spike_time(
         raise ValueError("reciprocal inversion requires all first-spike steps >= 1")
     loss, dlogits = _softmax_ce(1.0 / f, target_class)
     return loss, dlogits * (-1.0 / (f * f))
-
-
-def mse_spike_time(spike_times, target_times) -> tuple[float, list[np.ndarray]]:
-    """Square error between paired k-th spikes of each neuron.
-
-    Both arguments are per-neuron sequences of spike times; the k-th actual
-    spike is paired with the k-th target.  Returns the loss and a matching
-    list of per-spike gradients.
-    """
-    if len(spike_times) != len(target_times):
-        raise ValueError(
-            f"{len(spike_times)} neurons in actual vs {len(target_times)} in target"
-        )
-    loss = 0.0
-    grads: list[np.ndarray] = []
-    for i, (fi, yi) in enumerate(zip(spike_times, target_times)):
-        fi = np.asarray(fi, dtype=np.float64)
-        yi = np.asarray(yi, dtype=np.float64)
-        if fi.shape != yi.shape:
-            raise ValueError(
-                f"neuron {i}: {fi.shape[0]} spikes but {yi.shape[0]} targets"
-            )
-        loss_i, grad_i = _square_error(yi, fi)
-        loss += loss_i
-        grads.append(grad_i)
-    return loss, grads
 
 
 def mse_relative_spike_time(

@@ -100,6 +100,8 @@ class SrmNet:
         self.theta = theta
         if self.dt_fine is None:
             self.dt_fine = self.tau / 1000.0
+        if not self.dt_fine > 0.0:
+            raise ValueError(f"dt_fine must be positive, got {self.dt_fine}")
         if self.dt_fine > self.tau / 100.0:
             raise ValueError("dt_fine, the time of one CLI raster step, must be at most tau/100")
 

@@ -64,24 +64,12 @@ class SurrogateKind:
         return cls(SurrogateVariant.HEAVISIDE)
 
     @classmethod
-    def sigmoid(cls, k: float = 25.0) -> "SurrogateKind":
-        return cls(SurrogateVariant.SIGMOID, k=k)
-
-    @classmethod
     def fast_sigmoid(cls, k: float = 25.0) -> "SurrogateKind":
         return cls(SurrogateVariant.FAST_SIGMOID, k=k)
 
     @classmethod
-    def triangular(cls) -> "SurrogateKind":
-        return cls(SurrogateVariant.TRIANGULAR)
-
-    @classmethod
     def hybrid_spike(cls, c: float = 0.0) -> "SurrogateKind":
         return cls(SurrogateVariant.HYBRID_SPIKE, c=c)
-
-    @classmethod
-    def shifted_relu(cls, scale: float = 1.0) -> "SurrogateKind":
-        return cls(SurrogateVariant.SHIFTED_RELU, scale=scale)
 
     @classmethod
     def sigmoid_exact(cls, k: float) -> "SurrogateKind":

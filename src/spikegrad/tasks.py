@@ -29,9 +29,6 @@ class Dataset:
         if len(shapes) > 1:
             raise ValueError(f"samples are not uniformly shaped: {sorted(shapes)}")
 
-    def __len__(self) -> int:
-        return len(self.samples)
-
 
 def _samples(dataset) -> list:
     """The samples of a Dataset, or of any other iterable of samples; raises when there are none."""

@@ -2,6 +2,9 @@
 
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -261,6 +264,10 @@ spikeprop.target_incorrect = 3.0
          "config key 'spikeprop.*': tau must be positive, got -1.0"),
         (SPIKEPROP_CONFIG + "spikeprop.dt_fine = 0.5\n",
          "config key 'spikeprop.*': dt_fine, the time of one CLI raster step, must be at most tau/100"),
+        (SPIKEPROP_CONFIG + "spikeprop.dt_fine = 0\n", "config key 'spikeprop.*': dt_fine must be positive, got 0.0"),
+        (SPIKEPROP_CONFIG + "spikeprop.dt_fine = -0.001\n",
+         "config key 'spikeprop.*': dt_fine must be positive, got -0.001"),
+        (SPIKEPROP_CONFIG + "spikeprop.dt_fine = nan\n", "config key 'spikeprop.*': dt_fine must be positive, got nan"),
         (SPIKEPROP_CONFIG + "spikeprop.theta = 0\n",
          "config key 'spikeprop.*': theta of output neuron 0 is 0.0; it must be finite and positive"),
         (SPIKEPROP_CONFIG + "spikeprop.t_end = nan\n", "config key 'spikeprop.*': t_end must be positive, got nan"),
@@ -285,7 +292,8 @@ spikeprop.target_incorrect = 3.0
         (RATE_CONFIG.replace("task.t_steps = 12", "task.t_steps = 0"), "config key 'task.t_steps': must be at least 1, got 0"),
         (ONLINE_CONFIG.replace("task.t_steps = 12", "task.t_steps = 0"), "config key 'task.t_steps': must be at least 1, got 0"),
     ], ids=["train.epochs", "train.batch_size", "trainer.trials", "trainer.interval", "model.tau", "trainer.sigma-nan",
-            "trainer.sigma-negative", "spikeprop.tau", "spikeprop.dt_fine", "spikeprop.theta", "spikeprop.t_end",
+            "trainer.sigma-negative", "spikeprop.tau", "spikeprop.dt_fine", "spikeprop.dt_fine-zero",
+            "spikeprop.dt_fine-negative", "spikeprop.dt_fine-nan", "spikeprop.theta", "spikeprop.t_end",
             "model.tau-with-beta",
             "spikeprop.target_correct", "spikeprop.target_incorrect",
             "bptt-objective.count_target_correct", "bptt-objective.count_target_incorrect",
@@ -617,6 +625,23 @@ class TestGradcheckCommand:
             outs.append(capsys.readouterr().out)
         assert outs[0] != outs[1]
         assert outs[0].startswith("beta-power-ratio (beta=0.8, w_probe=0.05): max_rel_err=")
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_exits_one_without_a_traceback(self, unbuffered):
+        # the read end closes before the child prints, so its first write to stdout fails
+        # (reading a line first would race the child's remaining writes)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONUNBUFFERED=unbuffered)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "spikegrad.cli", "gradcheck", "--suite", "rtrl-vs-bptt"],
+                                  stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""
 
 
 class TestStdpDemoCommand:

@@ -28,7 +28,7 @@ class TestEventFiles:
         save_events(SpikeRaster(np.zeros((6, 3))), path)
         assert path.read_text() == "# T=6 N=3\n"
         loaded = load_events(path)
-        assert (loaded.t_steps, loaded.n) == (6, 3)
+        assert loaded.data.shape == (6, 3)
         assert loaded.data.sum() == 0
 
     def test_events_written_sorted_by_t_then_i(self, tmp_path):
@@ -74,7 +74,7 @@ class TestEventFiles:
         path = tmp_path / "nh.ev"
         path.write_text("0,1\n2,0\n")
         loaded = load_events(path)
-        assert (loaded.t_steps, loaded.n) == (3, 2)
+        assert loaded.data.shape == (3, 2)
 
     def test_malformed_line_names_line_number(self, tmp_path):
         path = tmp_path / "bad.ev"
@@ -211,7 +211,7 @@ class TestEventDataset:
         manifest = tmp_path / "labels.txt"
         manifest.write_text("a.ev,0\nb.ev,1\n")
         ds = load_event_dataset(manifest)
-        assert len(ds) == 2
+        assert len(ds.samples) == 2
         assert np.array_equal(ds.samples[0][0].data, np.eye(3))
         assert ds.samples[1][1] == 1
 
@@ -268,7 +268,7 @@ class TestConfig:
         cfg = load_run_config(self.write(tmp_path, BASE_CONFIG))
         assert cfg.layer_sizes == [4, 6, 2]
         assert cfg.epochs == 2
-        assert len(cfg.dataset) == 6
+        assert len(cfg.dataset.samples) == 6
         model = cfg.build_model(np.random.default_rng(0))
         assert [l.w.shape for l in model] == [(6, 4), (2, 6)]
 

@@ -156,7 +156,7 @@ class TestTypeValidation:
 
     def test_spike_raster_shape_and_counts(self):
         r = SpikeRaster(np.array([[1.0, 0.0], [1.0, 1.0], [0.0, 0.0]]))
-        assert (r.t_steps, r.n) == (3, 2)
+        assert r.data.shape == (3, 2)
         assert r.counts() == pytest.approx([2.0, 1.0])
 
     @pytest.mark.parametrize(

@@ -20,7 +20,6 @@ from spikegrad.objectives import (
     mse_membrane,
     mse_relative_spike_time,
     mse_spike_rate,
-    mse_spike_time,
     regularize,
     sum_membrane_ce,
 )
@@ -218,31 +217,6 @@ class TestCeSpikeTime:
         _, grad = ce_spike_time(f, 1, inversion)
         fd = central_diff(lambda v: ce_spike_time(v, 1, inversion)[0], f)
         assert np.max(np.abs(grad - fd)) < 1e-7
-
-
-class TestMseSpikeTime:
-    def test_zero_at_target(self):
-        loss, grads = mse_spike_time([[1.0, 4.0], [2.0]], [[1.0, 4.0], [2.0]])
-        assert loss == 0.0
-        assert all(np.all(g == 0.0) for g in grads)
-
-    def test_paired_kth_spikes(self):
-        # matching list contributes 0; first spike off by one contributes 1
-        loss, _ = mse_spike_time([[0.0, 2.0, 5.0]], [[0.0, 2.0, 5.0]])
-        assert loss == 0.0
-        loss, _ = mse_spike_time([[1.0, 2.0, 5.0]], [[0.0, 2.0, 5.0]])
-        assert loss == pytest.approx(1.0)
-
-    def test_single_spike_off_by_three(self):
-        loss, grads = mse_spike_time([[7.0]], [[4.0]])
-        assert loss == pytest.approx(9.0)
-        assert grads[0][0] == pytest.approx(6.0)  # -2*(4-7)
-
-    def test_list_length_mismatch(self):
-        with pytest.raises(ValueError):
-            mse_spike_time([[1.0, 2.0]], [[1.0]])
-        with pytest.raises(ValueError):
-            mse_spike_time([[1.0]], [[1.0], [2.0]])
 
 
 class TestMseRelativeSpikeTime:

@@ -380,9 +380,16 @@ class TestInputCount:
 
 
 class TestSrmNetValidation:
-    def test_dt_fine_bound(self):
-        with pytest.raises(ValueError):
-            SrmNet(w=np.ones((1, 1)), tau=1.0, theta=1.0, t_end=5.0, dt_fine=0.5)
+    @pytest.mark.parametrize("dt_fine, message", [
+        (0.5, "must be at most tau/100"),
+        # a step of 0 put every raster spike at t = 0; NaN passed the upper bound
+        (0.0, "dt_fine must be positive, got 0.0"),
+        (-0.001, "dt_fine must be positive, got -0.001"),
+        (float("nan"), "dt_fine must be positive, got nan"),
+    ], ids=["above-tau/100", "zero", "negative", "nan"])
+    def test_dt_fine_bound(self, dt_fine, message):
+        with pytest.raises(ValueError, match=message):
+            SrmNet(w=np.ones((1, 1)), tau=1.0, theta=1.0, t_end=5.0, dt_fine=dt_fine)
 
     @pytest.mark.parametrize("t_end", [0.0, -1.0, float("nan")])
     def test_t_end_must_be_positive(self, t_end):

@@ -18,12 +18,12 @@ class TestSurrogateValues:
 
     def test_sigmoid_normalised_peak(self):
         for k in (1.0, 5.0, 25.0):
-            g = surrogate_grad(SurrogateKind.sigmoid(k), np.array([1.0]), 1.0)
+            g = surrogate_grad(SurrogateKind(SurrogateVariant.SIGMOID, k=k), np.array([1.0]), 1.0)
             assert g[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_unnormalised_sigmoid_slope_below_threshold(self):
         # slope of sigmoid(u - theta) at u=0, theta=1: sigma'(-1) ~ 0.1966
-        g = surrogate_grad(SurrogateKind.sigmoid(1.0), np.array([0.0]), 1.0)
+        g = surrogate_grad(SurrogateKind(SurrogateVariant.SIGMOID, k=1.0), np.array([0.0]), 1.0)
         unnormalised = g[0] / 4.0  # peak normalisation multiplies by 4/k, k=1
         assert unnormalised == pytest.approx(0.19661193324148185, abs=1e-10)
         assert unnormalised == pytest.approx(0.20, abs=5e-3)
@@ -36,7 +36,7 @@ class TestSurrogateValues:
         assert g == pytest.approx(expected, rel=1e-12)
 
     def test_triangular_support(self):
-        kind = SurrogateKind.triangular()
+        kind = SurrogateKind(SurrogateVariant.TRIANGULAR)
         assert surrogate_grad(kind, np.array([1.0]), 1.0)[0] == 1.0
         assert surrogate_grad(kind, np.array([0.0]), 1.0)[0] == 0.0
         assert surrogate_grad(kind, np.array([2.0]), 1.0)[0] == 0.0
@@ -58,16 +58,16 @@ class TestSurrogateValues:
             surrogate_grad(kind, np.array([0.5, 1.5]), 1.0)
 
     def test_shifted_relu(self):
-        kind = SurrogateKind.shifted_relu(scale=0.3)
+        kind = SurrogateKind(SurrogateVariant.SHIFTED_RELU, scale=0.3)
         u = np.array([0.9, 1.1])
         assert surrogate_grad(kind, u, 1.0) == pytest.approx([0.0, 0.3])
 
 
 class TestSurrogateShapeProperties:
     SMOOTH = [
-        SurrogateKind.sigmoid(7.0),
+        SurrogateKind(SurrogateVariant.SIGMOID, k=7.0),
         SurrogateKind.fast_sigmoid(13.0),
-        SurrogateKind.triangular(),
+        SurrogateKind(SurrogateVariant.TRIANGULAR),
     ]
 
     @pytest.mark.parametrize("kind", SMOOTH, ids=lambda k: k.variant.value)
@@ -112,4 +112,4 @@ class TestKindValidation:
     @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -float("inf")])
     def test_shifted_relu_scale_must_be_finite(self, scale):
         with pytest.raises(ValueError, match=f"scale must be finite, got {scale}"):
-            SurrogateKind.shifted_relu(scale)
+            SurrogateKind(SurrogateVariant.SHIFTED_RELU, scale=scale)
