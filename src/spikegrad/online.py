@@ -18,14 +18,19 @@ layers receive only the instantaneous spatial adjoint (cross-layer
 temporal dependencies are truncated, eligibility-trace style), so the
 exactness claim is restricted to one layer.
 
-Everything here reads values available at t and t-1 only.  The state is
-plain arrays: per layer the LIF state, the N_out x N_in influence m and a
-gradient accumulator of the same shape, so its size is independent of the
-stream length.
+Everything here reads values available at t and t-1 only.  The weights
+change only at an optimizer update, so ``train_online`` reads the stream
+one chunk at a time: up to the next update, and at most ``_CHUNK`` steps.
+Per layer it steps the influence and the LIF state through the chunk,
+then forms the chunk's credit and gradient at once.  The state is plain
+arrays: per layer the LIF state, the N_out x N_in influence m, a gradient
+accumulator of the same shape and the chunk's traces, so memory is
+O(_CHUNK * N_out * N_in) per layer, whatever the stream length.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -34,10 +39,12 @@ import numpy as np
 from .bptt import LayerGrads, OptimizerState, SnnLayer, _non_finite, optimizer_step
 from .bptt import _assign_params, _collect_grads, _collect_params, _w_only
 from .neuron import LifState, ResetMode, lif_step
-from .objectives import ObjectiveKind, ObjectiveSpec, _square_error
+from .objectives import ObjectiveKind, ObjectiveSpec
 from .surrogate import DEFAULT_SURROGATE, SurrogateKind, surrogate_grad
 
 __all__ = ["influence_step", "online_grad", "train_online", "OnlineHistory"]
+
+_CHUNK = 64  # stream steps read ahead at most; bounds the stored traces
 
 
 def influence_step(m: np.ndarray, beta: float, x: np.ndarray) -> np.ndarray:
@@ -53,11 +60,15 @@ def influence_step(m: np.ndarray, beta: float, x: np.ndarray) -> np.ndarray:
 
 
 def online_grad(cbar: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Instantaneous weight gradient dL[t]/dW_ij = cbar_i * m_ij."""
+    """Instantaneous weight gradient dL[t]/dW_ij = cbar_i * m_ij.
+
+    With a leading step axis, a c x N_out credit and c x N_out x N_in
+    influences give the c per-step products.
+    """
     cbar = np.asarray(cbar, dtype=np.float64)
-    if cbar.shape != (m.shape[0],):
-        raise ValueError(f"cbar length {cbar.shape} does not match {m.shape[0]} outputs")
-    return cbar[:, None] * m
+    if cbar.shape != m.shape[:-1]:
+        raise ValueError(f"credit of shape {cbar.shape} does not match influence of shape {m.shape}")
+    return cbar[..., None] * m
 
 
 @dataclass
@@ -69,31 +80,6 @@ class OnlineHistory:
     @property
     def final_loss(self) -> float:
         return self.rows[-1][1]
-
-
-def _step_credit(
-    objective: ObjectiveSpec,
-    u: np.ndarray,
-    s: np.ndarray,
-    target,
-    surrogate: SurrogateKind,
-    theta: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Instantaneous loss and cbar = dL[t]/dU[t] at the output layer.
-
-    Only objectives with a per-step form are usable online: a membrane
-    target (direct derivative) or a spike target (through the surrogate).
-    """
-    y = np.asarray(target, dtype=np.float64)
-    if objective.kind is ObjectiveKind.MSE_MEMBRANE:
-        return _square_error(y, u)
-    if objective.kind is ObjectiveKind.MSE_SPIKE_RATE:
-        loss, d_s = _square_error(y, s)
-        return loss, d_s * surrogate_grad(surrogate, u, theta, s)
-    raise ValueError(
-        f"objective {objective.kind.value} has no instantaneous per-step form; "
-        "use mse_membrane (membrane target per step) or mse_spike_rate (spike target per step)"
-    )
 
 
 def train_online(
@@ -111,12 +97,18 @@ def train_online(
     any steps left over.  The default, ``math.inf``, accumulates the
     whole-stream gradient and applies one update at the end; an interval
     below 1, or finite and not a whole number, raises ``ValueError``.  The
-    stream may be any iterable: nothing is read ahead and no trace is stored.
+    stream may be any iterable.  It is read up to the next update, at most
+    ``_CHUNK`` (64) steps ahead, and only that chunk's traces are stored:
+    O(_CHUNK * N_out * N_in) per layer.  Weights and history rows equal
+    those of a step-by-step engine bit for bit.
 
-    Only w is trained: a layer with ``v`` or a learned beta raises
-    ``ValueError`` naming it.  A step target without one entry per output
-    neuron raises ``ValueError`` naming the stream step (counted from 1, as
-    in the history rows).  Before each update, a non-finite pending loss or
+    Only objectives with a per-step form are usable: ``mse_membrane`` and
+    ``mse_spike_rate``; any other raises ``ValueError`` before the stream
+    is read.  Only w is trained: a layer with ``v`` or a learned beta raises
+    ``ValueError`` naming it.  A step input or target without one entry per
+    input or output neuron raises ``ValueError`` naming the stream step
+    (counted from 1, as in the history rows), after the updates of the
+    steps before it.  Before each update, a non-finite pending loss or
     gradient raises ``ValueError`` naming the layer and the stream step of
     the update; the weights stay untouched.
     """
@@ -125,6 +117,11 @@ def train_online(
     if math.isfinite(interval) and interval != int(interval):
         raise ValueError(f"interval must be a whole number or inf, got {interval}")
     _w_only(model, "train_online")
+    if objective.kind not in (ObjectiveKind.MSE_MEMBRANE, ObjectiveKind.MSE_SPIKE_RATE):
+        raise ValueError(
+            f"objective {objective.kind.value} has no instantaneous per-step form; "
+            "use mse_membrane (membrane target per step) or mse_spike_rate (spike target per step)"
+        )
     if optimizer is None:
         optimizer = OptimizerState.sgd(lr=1e-3)
 
@@ -152,42 +149,71 @@ def train_online(
         pending_loss = 0.0
         pending_steps = 0
 
-    n_out = model[-1].n_out
-    for x_t, y_t in stream:
-        n_steps += 1
-        if np.shape(y_t) != (n_out,):
-            raise ValueError(f"target of stream step {n_steps} has shape {np.shape(y_t)}, not ({n_out},)")
+    n_in, n_out = model[0].n_in, model[-1].n_out
+    stream = iter(stream)
+    while True:
+        # read up to the next update (the weights are fixed until then), at most _CHUNK steps
+        room = int(min(_CHUNK, interval - n_steps % interval))
+        xs, ys = [], []
+        for x_t, y_t in itertools.islice(stream, room):
+            step = n_steps + len(ys) + 1
+            if np.shape(y_t) != (n_out,):
+                raise ValueError(f"target of stream step {step} has shape {np.shape(y_t)}, not ({n_out},)")
+            if np.shape(x_t) != (n_in,):
+                raise ValueError(f"input of stream step {step} has shape {np.shape(x_t)}, not ({n_in},)")
+            xs.append(x_t)
+            ys.append(y_t)
+        if not ys:
+            break
+        n_steps += len(ys)
 
-        # forward one step through the stack, advancing each layer's influence; the
-        # spikes were tested against theta0 + b from before lif_step adds them to b
-        layer_theta = []
-        x = np.asarray(x_t, dtype=np.float64)
+        # forward the chunk one layer at a time, advancing each layer's influence
+        x = np.array(xs, dtype=np.float64)
+        traces = []
         for l, layer in enumerate(model):
-            influences[l] = influence_step(influences[l], layer.lif.beta, x)
-            if layer.lif.reset_mode is ResetMode.ZERO:
-                # a spike at t-1 zeroes U[t], and with it every row's influence
-                influences[l] *= (1.0 - states[l].s_prev)[:, None]
-            layer_theta.append(layer.lif.theta0 + states[l].b)
-            states[l], x = lif_step(states[l], layer.lif, layer.w @ x)
+            lif, m, state = layer.lif, influences[l], states[l]
+            wx = np.matmul(layer.w, x[:, :, None])[:, :, 0]  # w @ x[t] for every step t
+            m_trace, state_trace = [], [state]
+            for x_t, wx_t in zip(x, wx):
+                m = influence_step(m, lif.beta, x_t)
+                if lif.reset_mode is ResetMode.ZERO:
+                    # a spike at t-1 zeroes U[t], and with it every row's influence
+                    m *= (1.0 - state.s_prev)[:, None]
+                state, _ = lif_step(state, lif, wx_t)
+                m_trace.append(m)
+                state_trace.append(state)
+            influences[l], states[l] = m, state
+            u = np.array([st.u for st in state_trace[1:]])
+            s = np.array([st.s_prev for st in state_trace[1:]])
+            # the spikes were tested against theta0 + b from before lif_step adds them to b
+            theta = lif.theta0 + np.array([st.b for st in state_trace[:-1]])
+            traces.append((np.array(m_trace), u, s, theta))
+            x = s
 
-        out = len(model) - 1
-        loss, cbar = _step_credit(
-            objective, states[out].u, states[out].s_prev, y_t, surrogate, layer_theta[out]
-        )
-        pending_loss += loss
-        pending_steps += 1
+        # output credit cbar[t] = dL[t]/dU[t]: a membrane target's directly, a spike target's
+        # through the surrogate
+        _, u, s, theta = traces[-1]
+        err = np.array(ys, dtype=np.float64) - (u if objective.kind is ObjectiveKind.MSE_MEMBRANE else s)
+        cbar = -2.0 * err
+        if objective.kind is ObjectiveKind.MSE_SPIKE_RATE:
+            cbar = cbar * surrogate_grad(surrogate, u, theta, s)
+        for loss in np.sum(err * err, axis=1).tolist():  # in step order, as a running total rounds
+            pending_loss += loss
+        pending_steps += len(ys)
 
         # instantaneous spatial adjoint into hidden layers (temporal
         # cross-layer terms truncated)
-        for l in range(out, -1, -1):
-            grad_acc[l] += online_grad(cbar, influences[l])
+        for l in range(len(model) - 1, -1, -1):
+            for g in online_grad(cbar, traces[l][0]):  # in step order: a sum over steps rounds otherwise
+                grad_acc[l] += g
             if l > 0:
-                cbar = (model[l].w.T @ cbar) * surrogate_grad(
-                    surrogate, states[l - 1].u, layer_theta[l - 1], states[l - 1].s_prev
-                )
+                _, u, s, theta = traces[l - 1]
+                cbar = np.matmul(model[l].w.T, cbar[:, :, None])[:, :, 0] * surrogate_grad(surrogate, u, theta, s)
 
         if n_steps % interval == 0:
             apply_update(n_steps)
+        if len(ys) < room:
+            break
 
     if n_steps == 0:
         raise ValueError("stream is empty")

@@ -58,6 +58,18 @@ class TestOnlineGrad:
         g = online_grad(np.array([10.0, 0.1]), m)
         assert g == pytest.approx(np.array([[10.0, 20.0], [0.3, 0.4]]))
 
+    def test_leading_step_axis_stacks_the_per_step_products(self):
+        rng = np.random.default_rng(14)
+        cbar, m = rng.normal(size=(7, 3)), rng.normal(size=(7, 3, 5))
+        stacked = online_grad(cbar, m)
+        assert np.array_equal(stacked, np.stack([online_grad(c, m_t) for c, m_t in zip(cbar, m)]))
+
+    @pytest.mark.parametrize("cbar_shape, m_shape", [((2,), (3, 4)), ((5, 3), (4, 3, 2)), ((3,), (5, 3, 2))])
+    def test_shape_mismatch_names_both_shapes(self, cbar_shape, m_shape):
+        message = f"credit of shape {cbar_shape} does not match influence of shape {m_shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            online_grad(np.zeros(cbar_shape), np.zeros(m_shape))
+
 
 def _sequence_problem(seed=0, n_in=5, n_out=3, t_steps=24):
     rng = np.random.default_rng(seed)
@@ -135,10 +147,15 @@ class TestTrainOnline:
         assert np.isfinite(hist.final_loss)
 
     def test_unsupported_objective_named(self):
+        # it is rejected before the stream is read
         lif, w0, x, y = _sequence_problem(seed=8)
         layer = SnnLayer(w=w0.copy(), lif=lif)
-        with pytest.raises(ValueError, match="per-step"):
-            train_online([layer], zip(x, y), ObjectiveSpec(ObjectiveKind.CE_SPIKE_RATE))
+        stream = zip(x, y)
+        message = ("objective ce_spike_rate has no instantaneous per-step form; use mse_membrane "
+                   "(membrane target per step) or mse_spike_rate (spike target per step)")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            train_online([layer], stream, ObjectiveSpec(ObjectiveKind.CE_SPIKE_RATE))
+        assert np.array_equal(next(stream)[0], x[0])
 
     @pytest.mark.parametrize(
         "kind, target",
@@ -159,6 +176,19 @@ class TestTrainOnline:
         message = f"target of stream step 4 has shape {np.shape(target)}, not (2,)"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             train_online([layer], zip(x, targets), ObjectiveSpec(kind), optimizer=OptimizerState.sgd(1e-2))
+        assert np.array_equal(layer.w, w0)
+
+    @pytest.mark.parametrize("step_input", [np.ones(4), np.ones(2), 1.0], ids=["(4,)", "(2,)", "scalar"])
+    def test_step_input_needs_one_entry_per_input(self, step_input):
+        rng = np.random.default_rng(15)
+        layer = SnnLayer.init(3, 2, LifParams(beta=0.9, theta0=0.6), rng)
+        w0 = layer.w.copy()
+        x = list((rng.random((6, 3)) < 0.5).astype(float))
+        x[3] = step_input
+        message = f"input of stream step 4 has shape {np.shape(step_input)}, not (3,)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            train_online([layer], zip(x, np.tile([1.0, 0.0], (6, 1))), ObjectiveSpec(ObjectiveKind.MSE_SPIKE_RATE),
+                         optimizer=OptimizerState.sgd(1e-2))
         assert np.array_equal(layer.w, w0)
 
     @pytest.mark.parametrize("interval", [0, 0.5, -1, float("nan")])

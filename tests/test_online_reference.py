@@ -1,18 +1,21 @@
-"""The array-state online engine against the dataclass-state engine it replaced.
+"""The chunked online engine against the step-by-step engine it replaced.
 
-``InfluenceState``, ``influence_step``, ``online_grad``, ``UpdatePolicy``
-and ``train_online`` below are verbatim copies of the earlier engine, which
-kept each layer's influence and gradient accumulator in an
+``InfluenceState``, ``influence_step``, ``online_grad``, ``UpdatePolicy``,
+``_step_credit`` and ``train_online`` below are verbatim copies of earlier
+engines, which advanced every layer, credit and gradient one stream step
+at a time and kept each layer's influence and gradient accumulator in an
 ``InfluenceState`` rebuilt on every step and the update interval in an
-``UpdatePolicy``.  ``spikegrad.online.train_online`` keeps plain arrays and
-must reproduce the reference bit for bit: ``np.array_equal`` weights and
-``==`` history rows, not merely agreement to a tolerance.
+``UpdatePolicy``.  ``spikegrad.online.train_online`` reads the stream one
+update interval (at most ``online._CHUNK`` steps) at a time and must
+reproduce the reference bit for bit: ``np.array_equal`` weights and ``==``
+history rows, not merely agreement to a tolerance.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +25,8 @@ from spikegrad import online
 from spikegrad.bptt import LayerGrads, OptimizerState, SnnLayer, _non_finite, optimizer_step
 from spikegrad.bptt import _assign_params, _collect_grads, _collect_params, _w_only
 from spikegrad.neuron import LifParams, LifState, ResetMode, lif_step
-from spikegrad.objectives import ObjectiveKind, ObjectiveSpec
-from spikegrad.online import OnlineHistory, _step_credit
+from spikegrad.objectives import ObjectiveKind, ObjectiveSpec, _square_error
+from spikegrad.online import OnlineHistory
 from spikegrad.surrogate import DEFAULT_SURROGATE, SurrogateKind, surrogate_grad
 
 
@@ -74,6 +77,31 @@ class UpdatePolicy:
         if not (interval >= 1):
             raise ValueError(f"interval must be >= 1, got {interval}")
         return cls(interval=interval)
+
+
+def _step_credit(
+    objective: ObjectiveSpec,
+    u: np.ndarray,
+    s: np.ndarray,
+    target,
+    surrogate: SurrogateKind,
+    theta: np.ndarray,
+) -> tuple[float, np.ndarray]:
+    """Instantaneous loss and cbar = dL[t]/dU[t] at the output layer.
+
+    Only objectives with a per-step form are usable online: a membrane
+    target (direct derivative) or a spike target (through the surrogate).
+    """
+    y = np.asarray(target, dtype=np.float64)
+    if objective.kind is ObjectiveKind.MSE_MEMBRANE:
+        return _square_error(y, u)
+    if objective.kind is ObjectiveKind.MSE_SPIKE_RATE:
+        loss, d_s = _square_error(y, s)
+        return loss, d_s * surrogate_grad(surrogate, u, theta, s)
+    raise ValueError(
+        f"objective {objective.kind.value} has no instantaneous per-step form; "
+        "use mse_membrane (membrane target per step) or mse_spike_rate (spike target per step)"
+    )
 
 
 def train_online(
@@ -167,10 +195,23 @@ def train_online(
     return history
 
 
-def _problem(seed, n_layers, reset_mode, adapt_alpha, kind, t_steps=25):
-    """A stack of 1-3 layers driven hard enough that every layer spikes, and two streams to train on."""
+# a stack of n layers, or a named shape: (layer sizes, stream length)
+STACKS = {
+    1: ((5, 3), 25),
+    2: ((5, 6, 3), 25),
+    3: ((5, 6, 4, 3), 25),
+    "out9": ((5, 6, 9), 25),  # numpy sums rows of 8 or more pairwise
+    "1x1": ((1, 1, 1), 40),  # a 1 x 1 weight, where a reduction over steps would run pairwise
+    "T1": ((5, 6, 3), 1),
+    "T150": ((5, 6, 3), 150),  # longer than online._CHUNK
+    "T23": ((5, 6, 3), 23),  # not a multiple of the interval
+}
+
+
+def _problem(seed, stack, reset_mode, adapt_alpha, kind):
+    """A stack driven hard enough that every layer spikes, and two streams to train on."""
     rng = np.random.default_rng(seed)
-    sizes = [5, 6, 4][:n_layers] + [3]
+    sizes, t_steps = STACKS[stack]
     lif = LifParams(beta=0.85, theta0=0.6, reset_mode=reset_mode, adapt_alpha=adapt_alpha)
     weights = [rng.normal(0.2, 1.0 / np.sqrt(n_in), size=(n_out, n_in)) for n_in, n_out in zip(sizes, sizes[1:])]
     streams = []
@@ -185,18 +226,24 @@ def _problem(seed, n_layers, reset_mode, adapt_alpha, kind, t_steps=25):
 
 
 OPTIMIZERS = {"sgd": lambda: OptimizerState.sgd(0.05), "adam": lambda: OptimizerState.adam(0.01)}
+MODES = list(ResetMode)
 
 
 @pytest.mark.parametrize(
-    "n_layers, reset_mode, interval",
-    list(itertools.product((1, 2, 3), list(ResetMode), (1, 3, 10, math.inf))),
+    "stack, reset_mode, interval",
+    list(itertools.product((1, 2, 3), MODES, (1, 3, 10, math.inf)))
+    + list(itertools.product(("out9",), MODES, (1, 10, math.inf)))
+    + list(itertools.product(("1x1",), MODES, (3, math.inf)))
+    + list(itertools.product(("T1",), MODES, (1, math.inf)))
+    + list(itertools.product(("T150",), MODES, (70, math.inf)))
+    + list(itertools.product(("T23",), MODES, (10,))),
 )
-def test_array_engine_equals_reference(n_layers, reset_mode, interval):
+def test_array_engine_equals_reference(stack, reset_mode, interval):
     surrogate = SurrogateKind.fast_sigmoid(k=5.0)
     cases = itertools.product((0.0, 0.6), (ObjectiveKind.MSE_SPIKE_RATE, ObjectiveKind.MSE_MEMBRANE), OPTIMIZERS)
     for seed, (adapt_alpha, kind, opt) in enumerate(cases):
         case = f"adapt_alpha={adapt_alpha} {kind.value} {opt}"
-        lif, weights, streams = _problem(seed, n_layers, reset_mode, adapt_alpha, kind)
+        lif, weights, streams = _problem(seed, stack, reset_mode, adapt_alpha, kind)
         ref_model = [SnnLayer(w=w.copy(), lif=lif) for w in weights]
         new_model = [SnnLayer(w=w.copy(), lif=lif) for w in weights]
         ref_opt, new_opt = OPTIMIZERS[opt](), OPTIMIZERS[opt]()
@@ -208,6 +255,27 @@ def test_array_engine_equals_reference(n_layers, reset_mode, interval):
             assert new.rows == ref.rows, case
             for l, (a, b) in enumerate(zip(new_model, ref_model)):
                 assert np.array_equal(a.w, b.w), f"{case}: layer {l}"
+
+
+@pytest.mark.parametrize("interval, bad_step", [(5, 7), (70, 75)])
+def test_a_bad_target_leaves_the_updates_before_it(interval, bad_step):
+    # reading ahead stops at the next update, so a bad target leaves the
+    # weights of the last update before it, as the reference has them there
+    lif, weights, [(x, y), _] = _problem(0, "T150", ResetMode.SUBTRACT, 0.0, ObjectiveKind.MSE_MEMBRANE)
+    targets = list(y)
+    targets[bad_step - 1] = y[bad_step - 1, :2]
+    last_update = (bad_step - 1) // interval * interval
+    ref_model = [SnnLayer(w=w.copy(), lif=lif) for w in weights]
+    new_model = [SnnLayer(w=w.copy(), lif=lif) for w in weights]
+    objective = ObjectiveSpec(ObjectiveKind.MSE_MEMBRANE)
+    train_online(ref_model, zip(x[:last_update], y[:last_update]), objective,
+                 update_policy=UpdatePolicy.per_step(interval))
+    message = f"target of stream step {bad_step} has shape (2,), not (3,)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        online.train_online(new_model, zip(x, targets), objective, interval=interval)
+    for l, (a, b, w) in enumerate(zip(new_model, ref_model, weights)):
+        assert np.array_equal(a.w, b.w), f"layer {l}"
+        assert not np.array_equal(a.w, w), f"layer {l} was not updated"
 
 
 @pytest.mark.parametrize("reset_mode", list(ResetMode))
