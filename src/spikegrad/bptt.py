@@ -329,7 +329,8 @@ class OptimizerKind(enum.Enum):
 
 @dataclass
 class OptimizerState:
-    """Optimizer choice plus per-parameter moment accumulators (Adam)."""
+    """Optimizer choice and running state: the step count, and Adam's two moment vectors,
+    None until the first Adam step and as long as the parameter vector (not in ``==`` or ``repr``)."""
 
     kind: OptimizerKind
     lr: float
@@ -337,7 +338,7 @@ class OptimizerState:
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    slots: dict = field(default_factory=dict)
+    moments: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.lr < np.inf:
@@ -358,34 +359,25 @@ class OptimizerState:
         return cls(kind=OptimizerKind.ADAM, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
 
 
-def optimizer_step(
-    params: list[np.ndarray], grads: list[np.ndarray], state: OptimizerState
-) -> list[np.ndarray]:
-    """One update over a flat list of parameter arrays; returns new arrays.
-
-    ``state`` is mutated in place (step counter and Adam moments, keyed by
-    position in the list, which must stay stable across calls).
-    """
-    if len(params) != len(grads):
-        raise ValueError(f"{len(params)} params but {len(grads)} grads")
+def optimizer_step(params: np.ndarray, grads: np.ndarray, state: OptimizerState) -> None:
+    """One SGD or Adam step on a float64 parameter vector, in place; ``state`` counts it.
+    ``grads`` or Adam's moments of another length raise ValueError and change nothing."""
+    if grads.shape != params.shape:
+        raise ValueError(f"params of shape {params.shape} but grads of shape {grads.shape}")
+    if state.moments is not None and state.moments[0].size != params.size:
+        raise ValueError(f"Adam moments of length {state.moments[0].size} for {params.size} params")
     state.step_count += 1
-    out = []
-    for idx, (p, g) in enumerate(zip(params, grads)):
-        p = np.asarray(p, dtype=np.float64)
-        g = np.asarray(g, dtype=np.float64)
-        if p.shape != g.shape:
-            raise ValueError(f"param {idx}: shape {p.shape} != grad shape {g.shape}")
-        if state.kind is OptimizerKind.SGD:
-            out.append(p - state.lr * g)
-            continue
-        m, v = state.slots.get(idx, (np.zeros_like(p), np.zeros_like(p)))
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g * g
-        state.slots[idx] = (m, v)
-        m_hat = m / (1.0 - state.beta1**state.step_count)
-        v_hat = v / (1.0 - state.beta2**state.step_count)
-        out.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
-    return out
+    if state.kind is OptimizerKind.SGD:
+        params -= state.lr * grads
+        return
+    if state.moments is None:
+        state.moments = (np.zeros_like(params), np.zeros_like(params))
+    m, v = state.moments
+    m[:] = state.beta1 * m + (1.0 - state.beta1) * grads
+    v[:] = state.beta2 * v + (1.0 - state.beta2) * grads * grads
+    m_hat = m / (1.0 - state.beta1**state.step_count)
+    v_hat = v / (1.0 - state.beta2**state.step_count)
+    params -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
 @dataclass(frozen=True)
@@ -420,24 +412,47 @@ def _w_only(model: list[SnnLayer], trainer: str) -> None:
             raise ValueError(f"{trainer} trains w only, but layer {l} also trains {extra}")
 
 
-def _collect_params(model: list[SnnLayer]) -> list[np.ndarray]:
-    return [np.asarray(getattr(layer.lif if n == "beta" else layer, n)) for layer in model for n in _trained(layer)]
+class _FlatParams:
+    """A model's trained parameters, copied once into one float64 vector ``vec`` in ``_trained`` order.
 
+    Each layer's ``w`` and ``v`` become views into ``vec``; arrays taken from a layer before keep their values.
+    """
 
-def _collect_grads(model: list[SnnLayer], layer_grads: list[LayerGrads]) -> list[np.ndarray]:
-    return [np.asarray(getattr(lg, "d_" + n)) for layer, lg in zip(model, layer_grads) for n in _trained(layer)]
+    def __init__(self, model: list[SnnLayer]):
+        self.names = [(l, name) for l, layer in enumerate(model) for name in _trained(layer)]
+        values = [np.asarray(getattr(model[l].lif if n == "beta" else model[l], n)) for l, n in self.names]
+        self.shapes = [value.shape for value in values]
+        self.stops = np.cumsum([value.size for value in values])
+        self.vec = np.concatenate([value.ravel() for value in values], dtype=np.float64)
+        self.betas = [(model[l], stop - 1) for (l, name), stop in zip(self.names, self.stops) if name == "beta"]
+        for (l, name), view in zip(self.names, self.views(self.vec)):
+            if name != "beta":
+                setattr(model[l], name, view)
 
+    def views(self, vec: np.ndarray) -> list[np.ndarray]:
+        """Per trained parameter, its slice of ``vec`` in its shape."""
+        return [part.reshape(shape) for part, shape in zip(np.split(vec, self.stops[:-1]), self.shapes)]
 
-def _assign_params(model: list[SnnLayer], params: list[np.ndarray]) -> None:
-    it = iter(params)
-    for layer in model:
-        for name in _trained(layer):
-            if name == "beta":
-                # beta > 1 puts the temporal gradient in the exploding regime
-                beta = float(np.clip(next(it), 1e-9, 1.0))
-                layer.lif = dataclasses.replace(layer.lif, beta=beta)
-            else:
-                setattr(layer, name, next(it))
+    def gather(self, layer_grads: list[LayerGrads]) -> np.ndarray:
+        """The trained parameters' gradients as one new vector in the layout of ``vec``."""
+        return np.concatenate([np.ravel(getattr(layer_grads[l], "d_" + name)) for l, name in self.names])
+
+    def sync(self) -> None:
+        """Clip each learned beta in ``vec`` to [1e-9, 1] and write it into its layer's frozen ``LifParams``."""
+        for layer, k in self.betas:
+            # beta > 1 puts the temporal gradient in the exploding regime
+            beta = self.vec[k] = np.clip(self.vec[k], 1e-9, 1.0)
+            layer.lif = dataclasses.replace(layer.lif, beta=float(beta))
+
+    def non_finite(self, loss: float, grad: np.ndarray) -> str | None:
+        """Name a non-finite loss, else the parameter of ``grad``'s first NaN or inf entry, if any."""
+        if not np.isfinite(loss):
+            return f"loss {loss}"
+        bad = np.flatnonzero(~np.isfinite(grad))
+        if bad.size == 0:
+            return None
+        l, name = self.names[np.searchsorted(self.stops, bad[0], side="right")]
+        return f"gradient of layer {l} parameter {name}"
 
 
 def _accuracy(preds, targets) -> float:
@@ -470,17 +485,6 @@ def _sample_pass(model, sample, objective, reg, surrogate, feedback, detach_rese
     return loss, grads, pred, spikes
 
 
-def _non_finite(model: list[SnnLayer], loss: float, layer_grads: list[LayerGrads]) -> str | None:
-    """Name the first NaN or inf among the loss and the trained parameters' gradients, if any."""
-    if not np.isfinite(loss):
-        return f"loss {loss}"
-    for l, (layer, lg) in enumerate(zip(model, layer_grads)):
-        for name in _trained(layer):
-            if not np.isfinite(getattr(lg, "d_" + name)).all():
-                return f"gradient of layer {l} parameter {name}"
-    return None
-
-
 def train_bptt(
     model: list[SnnLayer],
     dataset,
@@ -510,6 +514,7 @@ def train_bptt(
     if optimizer is None:
         optimizer = OptimizerState.adam(lr=1e-3)
     rng = np.random.default_rng(seed)
+    params = _FlatParams(model)
 
     history = TrainHistory()
     for epoch in range(epochs):
@@ -519,12 +524,13 @@ def train_bptt(
         total_spikes = 0.0
         for start in range(0, len(order), batch_size):
             batch = [samples[i] for i in order[start : start + batch_size]]
-            acc_grads = None
+            acc = None
             for pos, sample in enumerate(batch, start):
                 loss, grads, pred, spikes = _sample_pass(
                     model, sample, objective, reg, surrogate, feedback, detach_reset
                 )
-                bad = _non_finite(model, loss, grads)
+                grad = params.gather(grads)
+                bad = params.non_finite(loss, grad)
                 if bad is not None:
                     raise ValueError(
                         f"non-finite {bad} at epoch {epoch}, batch {start // batch_size}, "
@@ -532,16 +538,12 @@ def train_bptt(
                     )
                 epoch_loss += loss
                 total_spikes += spikes
-                if acc_grads is None:
-                    acc_grads = _collect_grads(model, grads)
-                else:
-                    for a, g in zip(acc_grads, _collect_grads(model, grads)):
-                        a += g
+                # the first sample's gradient starts the sum, as 0.0 + -0.0 would be +0.0
+                acc = grad if acc is None else acc + grad
                 preds.append(pred)
-            scale = 1.0 / len(batch)
-            acc_grads = [g * scale for g in acc_grads]
-            new_params = optimizer_step(_collect_params(model), acc_grads, optimizer)
-            _assign_params(model, new_params)
+            acc *= 1.0 / len(batch)
+            optimizer_step(params.vec, acc, optimizer)
+            params.sync()
 
         history.rows.append(
             EpochStats(

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bptt import OutputGrads, SnnLayer, _assign_params, _collect_grads, _collect_params, backward, forward
+from .bptt import OutputGrads, SnnLayer, _FlatParams, backward, forward
 from .neuron import LifParams, LifState, ResetMode, lif_step
 from .objectives import ce_spike_rate, mse_membrane
 from .online import influence_step, online_grad
@@ -143,23 +143,17 @@ def run_relaxed_fd(seed: int = 0) -> list[CaseResult]:
             record, out_grads, surrogate=surrogate, detach_reset=False
         )
 
-        params = _collect_params(model)
-        analytic: list[float] = []
-        numeric: list[float] = []
+        params = _FlatParams(model)
+        saved = params.vec.copy()
 
-        def loss_at(k, idx, step):
-            moved = params[k].copy()
-            moved[idx] += step
-            _assign_params(model, params[:k] + [moved] + params[k + 1 :])
+        def loss_at(k, step):
+            params.vec[:] = saved
+            params.vec[k] += step
+            params.sync()
             return _relaxed_loss(model, x, y_trace, label, slope)[0]
 
-        for k, grad in enumerate(_collect_grads(model, grads)):
-            for idx in np.ndindex(grad.shape):
-                analytic.append(grad[idx])
-                numeric.append((loss_at(k, idx, eps) - loss_at(k, idx, -eps)) / (2.0 * eps))
-                _assign_params(model, params)
-
-        err = max_rel_err(np.array(analytic), np.array(numeric), floor_frac=1e-3)
+        numeric = [(loss_at(k, eps) - loss_at(k, -eps)) / (2.0 * eps) for k in range(saved.size)]
+        err = max_rel_err(params.gather(grads), np.array(numeric), floor_frac=1e-3)
         (n_hid, n_in), n_out = model[0].w.shape, model[1].w.shape[0]
         results.append(CaseResult(f"relaxed-fd[{case}]", err, 1e-5, f"net {n_in}-{n_hid}-{n_out}, T={x.shape[0]}"))
     return results

@@ -36,8 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bptt import LayerGrads, OptimizerState, SnnLayer, _non_finite, optimizer_step
-from .bptt import _assign_params, _collect_grads, _collect_params, _w_only
+from .bptt import OptimizerState, SnnLayer, _FlatParams, _w_only, optimizer_step
 from .neuron import LifState, ResetMode, lif_step
 from .objectives import ObjectiveKind, ObjectiveSpec
 from .surrogate import DEFAULT_SURROGATE, SurrogateKind, surrogate_grad
@@ -125,10 +124,12 @@ def train_online(
     if optimizer is None:
         optimizer = OptimizerState.sgd(lr=1e-3)
 
-    # per layer: the LIF state, the influence dU/dW and the gradient since the last update
+    # per layer: the LIF state, the influence dU/dW and a view of the gradient since the last update
+    params = _FlatParams(model)
+    grad = np.zeros_like(params.vec)
+    grad_acc = params.views(grad)
     states = [LifState.zeros(layer.n_out) for layer in model]
     influences = [np.zeros(layer.w.shape) for layer in model]
-    grad_acc = [np.zeros(layer.w.shape) for layer in model]
     history = OnlineHistory()
 
     pending_loss = 0.0
@@ -137,14 +138,11 @@ def train_online(
 
     def apply_update(step_idx: int) -> None:
         nonlocal pending_loss, pending_steps
-        grads = [LayerGrads(d_w=g) for g in grad_acc]
-        bad = _non_finite(model, pending_loss, grads)
+        bad = params.non_finite(pending_loss, grad)
         if bad is not None:
             raise ValueError(f"non-finite {bad} at the update after stream step {step_idx}")
-        new_params = optimizer_step(_collect_params(model), _collect_grads(model, grads), optimizer)
-        _assign_params(model, new_params)
-        for g in grad_acc:
-            g.fill(0.0)
+        optimizer_step(params.vec, grad, optimizer)
+        grad.fill(0.0)
         history.rows.append((step_idx, pending_loss / pending_steps))
         pending_loss = 0.0
         pending_steps = 0

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .bptt import SnnLayer, _assign_params, _collect_params, forward
+from .bptt import SnnLayer, _FlatParams, forward
 from .neuron import _as_matrix
 from .objectives import ObjectiveSpec, eval_objective
 from .tasks import _samples
@@ -187,17 +187,20 @@ def perturbation_train(
     if not math.isfinite(best):
         raise ValueError(f"non-finite loss {best} before trial 0")
     history = PerturbationHistory()
+    params = _FlatParams(model)
     for trial in range(trials):
-        saved = _collect_params(model)
-        _assign_params(model, [p + rng.normal(0.0, sigma, size=p.shape) for p in saved])
+        saved = params.vec.copy()
+        params.vec += rng.normal(0.0, sigma, size=params.vec.size)
+        params.sync()
         candidate = _dataset_loss(model, samples, objective)
         if candidate < best:
             best = candidate
             history.rows.append((trial, best, True))
         else:
-            # restore the saved arrays: subtracting the noise again is not
+            # restore the saved vector: subtracting the noise again is not
             # bit-exact, and the kept model must be the one that scored best
-            _assign_params(model, saved)
+            params.vec[:] = saved
+            params.sync()
             if not math.isfinite(candidate):
                 raise ValueError(f"non-finite loss {candidate} at trial {trial}")
             history.rows.append((trial, best, False))

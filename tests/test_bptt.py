@@ -328,41 +328,69 @@ class TestPerStepGradients:
 
 class TestOptimizer:
     def test_zero_gradient_no_change(self):
-        p = [np.array([1.0, 2.0])]
         for state in (OptimizerState.sgd(0.1), OptimizerState.adam(0.1)):
-            out = optimizer_step(p, [np.zeros(2)], state)
-            assert np.array_equal(out[0], p[0])
+            p = np.array([1.0, 2.0])
+            optimizer_step(p, np.zeros(2), state)
+            assert np.array_equal(p, [1.0, 2.0])
 
     def test_sgd_step(self):
-        out = optimizer_step([np.array([1.0])], [np.array([1.0])], OptimizerState.sgd(0.1))
-        assert out[0][0] == pytest.approx(0.9)
+        p = np.array([1.0])
+        optimizer_step(p, np.array([1.0]), OptimizerState.sgd(0.1))
+        assert p[0] == pytest.approx(0.9)
 
     def test_adam_first_step_magnitude_is_lr(self):
         lr = 0.05
-        state = OptimizerState.adam(lr)
-        out = optimizer_step([np.array([3.0])], [np.array([1.0])], state)
+        p = np.array([3.0])
+        optimizer_step(p, np.array([1.0]), OptimizerState.adam(lr))
         # bias correction makes the first update lr * g/|g| up to eps
-        assert out[0][0] == pytest.approx(3.0 - lr, abs=lr * 1e-6)
+        assert p[0] == pytest.approx(3.0 - lr, abs=lr * 1e-6)
 
     def test_adam_recurrence_hand_rolled(self):
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
         state = OptimizerState.adam(lr, b1, b2, eps)
         p = np.array([0.0])
+        expected = 0.0
         m = v = 0.0
         for t in range(1, 6):
             g = float(t)
-            (p_new,) = optimizer_step([p], [np.array([g])], state)
+            optimizer_step(p, np.array([g]), state)
             m = b1 * m + (1 - b1) * g
             v = b2 * v + (1 - b2) * g * g
             m_hat = m / (1 - b1**t)
             v_hat = v / (1 - b2**t)
-            expected = p - lr * m_hat / (np.sqrt(v_hat) + eps)
-            assert p_new[0] == pytest.approx(expected[0], rel=1e-12)
-            p = p_new
+            expected = expected - lr * m_hat / (np.sqrt(v_hat) + eps)
+            assert p[0] == pytest.approx(expected, rel=1e-12)
 
     def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match=r"^params of shape \(2,\) but grads of shape \(3,\)$"):
+            optimizer_step(np.zeros(2), np.zeros(3), OptimizerState.sgd(0.1))
+
+    def test_refused_step_changes_nothing(self):
+        # a refused call must not count a step: a retry would use the wrong bias correction
+        state, p = OptimizerState.adam(0.1), np.array([1.0, 2.0])
         with pytest.raises(ValueError):
-            optimizer_step([np.zeros(2)], [np.zeros(3)], OptimizerState.sgd(0.1))
+            optimizer_step(p, np.zeros(3), state)
+        assert state.step_count == 0 and state.moments is None
+        optimizer_step(p, np.array([0.5, -1.0]), state)
+        fresh, q = OptimizerState.adam(0.1), np.array([1.0, 2.0])
+        optimizer_step(q, np.array([0.5, -1.0]), fresh)
+        assert p.tobytes() == q.tobytes() and state == fresh
+
+    def test_moments_of_another_model_rejected(self):
+        state = OptimizerState.adam(0.1)
+        optimizer_step(np.zeros(3), np.ones(3), state)
+        m, v = (a.copy() for a in state.moments)
+        p = np.array([1.0, 2.0])
+        with pytest.raises(ValueError, match=r"^Adam moments of length 3 for 2 params$"):
+            optimizer_step(p, np.ones(2), state)
+        assert state.step_count == 1 and np.array_equal(p, [1.0, 2.0])
+        assert np.array_equal(state.moments[0], m) and np.array_equal(state.moments[1], v)
+
+    def test_moments_stay_out_of_eq_and_repr(self):
+        a, b = OptimizerState.adam(0.1), OptimizerState.adam(0.1)
+        optimizer_step(np.zeros(2), np.ones(2), a)
+        b.step_count = 1
+        assert a == b and "moments" not in repr(a)
 
     @pytest.mark.parametrize("lr", [float("inf"), float("nan"), -0.1])
     def test_lr_must_be_finite_and_non_negative(self, lr):
@@ -470,8 +498,13 @@ class TestTrainBptt:
             )
         assert np.array_equal(model[0].w, w_before)
 
-    @pytest.mark.parametrize("name", ["v", "beta"])
-    def test_non_finite_gradient_names_v_and_beta(self, monkeypatch, name):
+    # (layer, parameter, flat entry): the first and the last entry of every block, and an interior one
+    @pytest.mark.parametrize(
+        "l, name, entry",
+        [(0, "w", 0), (0, "w", -1), (0, "v", 0), (0, "v", 6), (0, "v", -1), (0, "beta", None),
+         (1, "w", 0), (1, "w", -1), (1, "beta", None)],
+    )
+    def test_non_finite_gradient_names_its_layer_and_parameter(self, monkeypatch, l, name, entry):
         import spikegrad.bptt as bptt
 
         rng = np.random.default_rng(0)
@@ -482,15 +515,16 @@ class TestTrainBptt:
 
         def poisoned(*args, **kwargs):
             grads = real(*args, **kwargs)
-            if name == "v":
-                grads[0].d_v[1, 2] = np.inf
+            grads[1].d_beta = np.nan  # a later bad entry, never the one named unless it is the first
+            if name == "beta":
+                grads[l].d_beta = np.nan
             else:
-                grads[0].d_beta = np.nan
+                getattr(grads[l], "d_" + name).flat[entry] = np.inf
             return grads
 
         monkeypatch.setattr(bptt, "backward", poisoned)
         ds = [((rng.random((8, 3)) < 0.5).astype(float), 0)]
-        with pytest.raises(ValueError, match=f"^non-finite gradient of layer 0 parameter {name} at epoch 0, batch 0, "):
+        with pytest.raises(ValueError, match=f"^non-finite gradient of layer {l} parameter {name} at epoch 0, batch 0, "):
             train_bptt(model, ds, ObjectiveSpec(ObjectiveKind.CE_SPIKE_RATE), optimizer=OptimizerState.sgd(1e-2))
         for layer, (w, v, beta) in zip(model, before):
             assert np.array_equal(layer.w, w) and layer.lif.beta == beta

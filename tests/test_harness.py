@@ -634,15 +634,14 @@ class TestKindKeyTables:
     @pytest.mark.parametrize("kind", list(_OPTIMIZER_KEYS), ids=lambda k: k.value)
     def test_optimizer_reads_exactly_its_entry(self, kind):
         # two steps: at step 1 Adam's bias correction cancels the betas
-        params = [np.array([1.0, -2.0, 0.5])]
         grads = [np.array([0.3, -0.1, 2.0]), np.array([-1.5, 0.4, 0.2])]
 
         def two_steps(**fields):
             state = OptimizerState(kind, lr=0.1, **fields)
-            out = params
+            out = np.array([1.0, -2.0, 0.5])
             for g in grads:
-                out = optimizer_step(out, [g], state)
-            return out[0]
+                optimizer_step(out, g, state)
+            return out
 
         base = two_steps()
         own = set(_OPTIMIZER_KEYS[kind])

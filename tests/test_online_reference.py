@@ -5,29 +5,102 @@
 engines, which advanced every layer, credit and gradient one stream step
 at a time and kept each layer's influence and gradient accumulator in an
 ``InfluenceState`` rebuilt on every step and the update interval in an
-``UpdatePolicy``.  ``spikegrad.online.train_online`` reads the stream one
-update interval (at most ``online._CHUNK`` steps) at a time and must
-reproduce the reference bit for bit: ``np.array_equal`` weights and ``==``
-history rows, not merely agreement to a tolerance.
+``UpdatePolicy``.  ``_collect_params``, ``_collect_grads``,
+``_assign_params``, ``_non_finite`` and ``optimizer_step`` are verbatim
+copies of the earlier update path, which moved the parameters as a list
+of arrays and kept Adam's moments keyed by list position in
+``SlotOptimizerState.slots``.  ``spikegrad.online.train_online`` reads the
+stream one update interval (at most ``online._CHUNK`` steps) at a time,
+updates one flat parameter vector, and must reproduce the reference bit
+for bit: ``np.array_equal`` weights and ``==`` history rows, not merely
+agreement to a tolerance.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 
 from spikegrad import online
-from spikegrad.bptt import LayerGrads, OptimizerState, SnnLayer, _non_finite, optimizer_step
-from spikegrad.bptt import _assign_params, _collect_grads, _collect_params, _w_only
+from spikegrad.bptt import LayerGrads, OptimizerKind, OptimizerState, SnnLayer, _trained, _w_only
 from spikegrad.neuron import LifParams, LifState, ResetMode, lif_step
 from spikegrad.objectives import ObjectiveKind, ObjectiveSpec, _square_error
 from spikegrad.online import OnlineHistory
 from spikegrad.surrogate import DEFAULT_SURROGATE, SurrogateKind, surrogate_grad
+
+
+@dataclass
+class SlotOptimizerState(OptimizerState):
+    """An optimizer state with the earlier Adam slots, keyed by list position."""
+
+    slots: dict = field(default_factory=dict)
+
+
+def _collect_params(model: list[SnnLayer]) -> list[np.ndarray]:
+    return [np.asarray(getattr(layer.lif if n == "beta" else layer, n)) for layer in model for n in _trained(layer)]
+
+
+def _collect_grads(model: list[SnnLayer], layer_grads: list[LayerGrads]) -> list[np.ndarray]:
+    return [np.asarray(getattr(lg, "d_" + n)) for layer, lg in zip(model, layer_grads) for n in _trained(layer)]
+
+
+def _assign_params(model: list[SnnLayer], params: list[np.ndarray]) -> None:
+    it = iter(params)
+    for layer in model:
+        for name in _trained(layer):
+            if name == "beta":
+                # beta > 1 puts the temporal gradient in the exploding regime
+                beta = float(np.clip(next(it), 1e-9, 1.0))
+                layer.lif = dataclasses.replace(layer.lif, beta=beta)
+            else:
+                setattr(layer, name, next(it))
+
+
+def _non_finite(model: list[SnnLayer], loss: float, layer_grads: list[LayerGrads]) -> str | None:
+    """Name the first NaN or inf among the loss and the trained parameters' gradients, if any."""
+    if not np.isfinite(loss):
+        return f"loss {loss}"
+    for l, (layer, lg) in enumerate(zip(model, layer_grads)):
+        for name in _trained(layer):
+            if not np.isfinite(getattr(lg, "d_" + name)).all():
+                return f"gradient of layer {l} parameter {name}"
+    return None
+
+
+def optimizer_step(
+    params: list[np.ndarray], grads: list[np.ndarray], state: OptimizerState
+) -> list[np.ndarray]:
+    """One update over a flat list of parameter arrays; returns new arrays.
+
+    ``state`` is mutated in place (step counter and Adam moments, keyed by
+    position in the list, which must stay stable across calls).
+    """
+    if len(params) != len(grads):
+        raise ValueError(f"{len(params)} params but {len(grads)} grads")
+    state.step_count += 1
+    out = []
+    for idx, (p, g) in enumerate(zip(params, grads)):
+        p = np.asarray(p, dtype=np.float64)
+        g = np.asarray(g, dtype=np.float64)
+        if p.shape != g.shape:
+            raise ValueError(f"param {idx}: shape {p.shape} != grad shape {g.shape}")
+        if state.kind is OptimizerKind.SGD:
+            out.append(p - state.lr * g)
+            continue
+        m, v = state.slots.get(idx, (np.zeros_like(p), np.zeros_like(p)))
+        m = state.beta1 * m + (1.0 - state.beta1) * g
+        v = state.beta2 * v + (1.0 - state.beta2) * g * g
+        state.slots[idx] = (m, v)
+        m_hat = m / (1.0 - state.beta1**state.step_count)
+        v_hat = v / (1.0 - state.beta2**state.step_count)
+        out.append(p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
+    return out
 
 
 @dataclass
@@ -225,7 +298,8 @@ def _problem(seed, stack, reset_mode, adapt_alpha, kind):
     return lif, weights, streams
 
 
-OPTIMIZERS = {"sgd": lambda: OptimizerState.sgd(0.05), "adam": lambda: OptimizerState.adam(0.01)}
+# optimizer name -> its state for a given state class: the reference's keeps list-position slots
+OPTIMIZERS = {"sgd": lambda cls: cls.sgd(0.05), "adam": lambda cls: cls.adam(0.01)}
 MODES = list(ResetMode)
 
 
@@ -246,7 +320,7 @@ def test_array_engine_equals_reference(stack, reset_mode, interval):
         lif, weights, streams = _problem(seed, stack, reset_mode, adapt_alpha, kind)
         ref_model = [SnnLayer(w=w.copy(), lif=lif) for w in weights]
         new_model = [SnnLayer(w=w.copy(), lif=lif) for w in weights]
-        ref_opt, new_opt = OPTIMIZERS[opt](), OPTIMIZERS[opt]()
+        ref_opt, new_opt = OPTIMIZERS[opt](SlotOptimizerState), OPTIMIZERS[opt](OptimizerState)
         policy = UpdatePolicy.deferred() if interval == math.inf else UpdatePolicy.per_step(interval)
         # two streams through one optimizer, as the CLI trains sample after sample
         for x, y in streams:
